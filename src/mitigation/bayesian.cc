@@ -20,21 +20,17 @@ bayesianReconstruct(const Pmf &global,
             if (local.pmf.supportSize() == 0)
                 continue;
 
-            // Current marginal of the evolving joint on this subset.
-            Pmf marg = out.marginal(local.positions);
+            // Current marginal M of the evolving joint on this
+            // subset, rewritten in place into the factor L(s)/M(s).
+            // An outcome with no mass on this subset before the update
+            // is left untouched (factor 1; its p is zero anyway).
+            Pmf factor = out.marginal(local.positions);
+            for (auto &[s, m] : factor.rawMutable())
+                m = m <= 0.0 ? 1.0 : local.pmf.prob(s) / m;
 
-            // Scale each joint outcome by L(s)/M(s).
-            for (auto &[outcome, p] : out.rawMutable()) {
-                const std::uint64_t s =
-                    gatherBits(outcome, local.positions);
-                const double m = marg.prob(s);
-                if (m <= 0.0) {
-                    // Outcome had zero mass on this subset before the
-                    // update; leave untouched (p is zero anyway).
-                    continue;
-                }
-                p *= local.pmf.prob(s) / m;
-            }
+            // Scale each joint outcome by its subset outcome's factor.
+            for (auto &[outcome, p] : out.rawMutable())
+                p *= factor.prob(gatherBits(outcome, local.positions));
             out.normalize();
         }
     }

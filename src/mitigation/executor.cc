@@ -33,16 +33,14 @@ struct RetryMetrics
 };
 
 /**
- * Order-independent content digest of a Pmf — the "wire" integrity
- * check of the corruption fault point. Commutative fold over the
- * sparse support, so the unordered iteration order cannot change
- * the digest; any single flipped probability bit changes it.
+ * Content digest of a Pmf — the "wire" integrity check of the
+ * corruption fault point. Any single flipped probability bit
+ * changes it.
  */
 std::uint64_t
 pmfDigest(const Pmf &pmf)
 {
     std::uint64_t acc = 0;
-    // varsaw-lint: allow(unordered-iter) commutative (addition) fold: iteration order cannot change the digest
     for (const auto &entry : pmf.raw()) {
         std::uint64_t bits = 0;
         std::memcpy(&bits, &entry.second, sizeof bits);

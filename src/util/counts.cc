@@ -1,5 +1,7 @@
 #include "util/counts.hh"
 
+#include <algorithm>
+
 #include "util/logging.hh"
 #include "util/pmf.hh"
 
@@ -8,15 +10,22 @@ namespace varsaw {
 void
 Counts::add(std::uint64_t outcome, std::uint64_t n)
 {
-    histogram_[outcome] += n;
+    auto it = std::ranges::lower_bound(histogram_, outcome, {},
+                                       &Entries::value_type::first);
+    if (it != histogram_.end() && it->first == outcome)
+        it->second += n;
+    else
+        histogram_.emplace(it, outcome, n);
     totalShots_ += n;
 }
 
 std::uint64_t
 Counts::count(std::uint64_t outcome) const
 {
-    auto it = histogram_.find(outcome);
-    return it == histogram_.end() ? 0 : it->second;
+    auto it = std::ranges::lower_bound(histogram_, outcome, {},
+                                       &Entries::value_type::first);
+    return it != histogram_.end() && it->first == outcome ? it->second
+                                                          : 0;
 }
 
 void

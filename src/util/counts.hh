@@ -3,16 +3,18 @@
  * Measurement-count histograms.
  *
  * A Counts object is the raw result of executing a circuit for a
- * number of shots: a map from packed measurement outcomes (qubit i of
- * the measured subset at bit i) to the number of times that outcome
- * was observed.
+ * number of shots: packed measurement outcomes (qubit i of the
+ * measured subset at bit i) with the number of times each was
+ * observed. Storage is a flat vector of (outcome, count) pairs
+ * sorted by outcome, so iteration order is a function of content.
  */
 
 #ifndef VARSAW_UTIL_COUNTS_HH
 #define VARSAW_UTIL_COUNTS_HH
 
 #include <cstdint>
-#include <unordered_map>
+#include <utility>
+#include <vector>
 
 namespace varsaw {
 
@@ -22,6 +24,9 @@ class Pmf;
 class Counts
 {
   public:
+    /** Observed outcomes, sorted by outcome, outcomes unique. */
+    using Entries = std::vector<std::pair<std::uint64_t, std::uint64_t>>;
+
     Counts() = default;
 
     /** Construct an empty histogram over @p num_bits measured bits. */
@@ -48,17 +53,13 @@ class Counts
     /** Convert to a normalized probability mass function. */
     Pmf toPmf() const;
 
-    /** Read-only access to the underlying histogram. */
-    const std::unordered_map<std::uint64_t, std::uint64_t> &
-    raw() const
-    {
-        return histogram_;
-    }
+    /** Read-only access to the histogram, sorted by outcome. */
+    const Entries &raw() const { return histogram_; }
 
   private:
     int numBits_ = 0;
     std::uint64_t totalShots_ = 0;
-    std::unordered_map<std::uint64_t, std::uint64_t> histogram_;
+    Entries histogram_;
 };
 
 } // namespace varsaw

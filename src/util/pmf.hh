@@ -1,6 +1,6 @@
 /**
  * @file
- * Sparse probability mass functions over measurement outcomes.
+ * Probability mass functions over measurement outcomes.
  *
  * Pmf is the central currency of the mitigation pipeline: circuit
  * execution produces a Pmf (via Counts), JigSaw subsets produce
@@ -8,16 +8,20 @@
  * global Pmf to agree with the local ones.
  *
  * Outcomes are packed words: bit i corresponds to measured qubit
- * slot i. Storage is sparse (hash map), which matches both sampled
- * histograms (support bounded by shot count) and the small dense
- * distributions produced by exact simulation.
+ * slot i. Storage is one flat vector of (outcome, probability)
+ * pairs sorted by outcome, holding only the support; a full-support
+ * distribution from exact simulation is the same vector with every
+ * outcome present. Every fold and every sample walks that order, so
+ * results are a pure function of content: two Pmfs with equal
+ * entries give bit-identical sums and, under the same Rng seed,
+ * identical samples, whatever order the entries were written in.
  */
 
 #ifndef VARSAW_UTIL_PMF_HH
 #define VARSAW_UTIL_PMF_HH
 
 #include <cstdint>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 namespace varsaw {
@@ -25,10 +29,13 @@ namespace varsaw {
 class Rng;
 class Counts;
 
-/** Sparse probability mass function over packed bit-string outcomes. */
+/** Probability mass function over packed bit-string outcomes. */
 class Pmf
 {
   public:
+    /** Support entries, sorted by outcome, outcomes unique. */
+    using Entries = std::vector<std::pair<std::uint64_t, double>>;
+
     Pmf() = default;
 
     /** Construct an all-zero PMF over @p num_bits measured bits. */
@@ -38,8 +45,8 @@ class Pmf
      * Construct from a dense probability vector.
      *
      * @param num_bits Number of measured bits.
-     * @param dense    Vector of length 2^num_bits; entries below
-     *                 @p prune are dropped from the sparse support.
+     * @param dense    Vector of length 2^num_bits; entries not above
+     *                 @p prune are left out of the support.
      */
     static Pmf fromDense(int num_bits, const std::vector<double> &dense,
                          double prune = 0.0);
@@ -59,7 +66,7 @@ class Pmf
     /** Number of outcomes in the support. */
     std::size_t supportSize() const { return probs_.size(); }
 
-    /** Sum of all stored probabilities. */
+    /** Sum of all stored probabilities, in outcome order. */
     double totalMass() const;
 
     /** Rescale so the total mass is 1 (no-op on an empty PMF). */
@@ -70,6 +77,9 @@ class Pmf
 
     /**
      * Marginal distribution over a subset of this PMF's bits.
+     *
+     * Each marginal outcome's probability is summed in this PMF's
+     * outcome order; its support is the image of this PMF's support.
      *
      * @param positions Bit positions within this PMF; position
      *                  positions[i] becomes bit i of the marginal.
@@ -84,10 +94,16 @@ class Pmf
      */
     double expectationParity(std::uint64_t mask) const;
 
-    /** Sample @p shots outcomes into a Counts histogram. */
+    /**
+     * Sample @p shots outcomes into a Counts histogram.
+     *
+     * Draws from a Walker/Vose alias table built over the support in
+     * outcome order, one Rng::uniform() per shot; outcomes with zero
+     * probability are never drawn.
+     */
     Counts sample(Rng &rng, std::uint64_t shots) const;
 
-    /** Most probable outcome (0 for an empty PMF). */
+    /** Most probable outcome; the smallest on a tie (0 if empty). */
     std::uint64_t argmax() const;
 
     /** Total variation distance to another PMF on the same bits. */
@@ -102,23 +118,21 @@ class Pmf
     /** Hellinger distance: sqrt(1 - sqrt(fidelity)). */
     static double hellingerDistance(const Pmf &a, const Pmf &b);
 
-    /** Read-only access to the sparse support. */
-    const std::unordered_map<std::uint64_t, double> &
-    raw() const
-    {
-        return probs_;
-    }
+    /** Read-only access to the support, sorted by outcome. */
+    const Entries &raw() const { return probs_; }
 
-    /** Mutable access for in-place reweighting (reconstruction). */
-    std::unordered_map<std::uint64_t, double> &
-    rawMutable()
-    {
-        return probs_;
-    }
+    /**
+     * Mutable access for in-place reweighting (reconstruction).
+     * Callers may rewrite probabilities but never outcomes.
+     */
+    Entries &rawMutable() { return probs_; }
 
   private:
+    /** Probability of @p outcome, inserted as 0 if absent. */
+    double &slot(std::uint64_t outcome);
+
     int numBits_ = 0;
-    std::unordered_map<std::uint64_t, double> probs_;
+    Entries probs_;
 };
 
 } // namespace varsaw

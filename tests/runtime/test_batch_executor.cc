@@ -15,24 +15,10 @@
 #include "runtime/batch_executor.hh"
 #include "vqa/ansatz.hh"
 #include "vqa/estimator.hh"
+#include "../util/pmf_equality.hh"
 
 namespace varsaw {
 namespace {
-
-/** Exact (bitwise) equality of two PMFs. */
-void
-expectBitIdentical(const Pmf &a, const Pmf &b)
-{
-    ASSERT_EQ(a.numBits(), b.numBits());
-    ASSERT_EQ(a.raw().size(), b.raw().size());
-    for (const auto &[outcome, p] : a.raw()) {
-        auto it = b.raw().find(outcome);
-        ASSERT_NE(it, b.raw().end()) << "outcome " << outcome;
-        // Exact double equality on purpose: the runtime promises
-        // bit-identical results across thread counts.
-        EXPECT_EQ(p, it->second) << "outcome " << outcome;
-    }
-}
 
 /**
  * A fixed-seed TFIM workload shaped like one VarSaw tick: every

@@ -39,22 +39,10 @@
 #include "vqa/ansatz.hh"
 #include "vqa/estimator.hh"
 #include "vqa/zne_estimator.hh"
+#include "../util/pmf_equality.hh"
 
 namespace varsaw {
 namespace {
-
-/** Exact (bitwise) equality of two PMFs. */
-void
-expectBitIdentical(const Pmf &a, const Pmf &b)
-{
-    ASSERT_EQ(a.numBits(), b.numBits());
-    ASSERT_EQ(a.raw().size(), b.raw().size());
-    for (const auto &[outcome, p] : a.raw()) {
-        auto it = b.raw().find(outcome);
-        ASSERT_NE(it, b.raw().end()) << "outcome " << outcome;
-        EXPECT_EQ(p, it->second) << "outcome " << outcome;
-    }
-}
 
 /** A prefix-sharing workload: per-basis Globals over one ansatz. */
 Batch

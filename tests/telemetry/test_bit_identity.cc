@@ -26,6 +26,7 @@
 #include "telemetry/metrics.hh"
 #include "telemetry/trace.hh"
 #include "vqa/ansatz.hh"
+#include "../util/pmf_equality.hh"
 
 namespace varsaw {
 namespace {
@@ -52,20 +53,6 @@ class TelemetryStateGuard
     bool tracing_;
     std::size_t capacity_;
 };
-
-void
-expectBitIdentical(const Pmf &a, const Pmf &b)
-{
-    ASSERT_EQ(a.numBits(), b.numBits());
-    ASSERT_EQ(a.raw().size(), b.raw().size());
-    for (const auto &[outcome, p] : a.raw()) {
-        auto it = b.raw().find(outcome);
-        ASSERT_NE(it, b.raw().end()) << "outcome " << outcome;
-        // Exact equality on purpose: telemetry must not perturb a
-        // single result bit.
-        EXPECT_EQ(p, it->second) << "outcome " << outcome;
-    }
-}
 
 Batch
 workload(const Hamiltonian &h, const Circuit &ansatz,

@@ -1,11 +1,14 @@
 /**
  * @file
- * Unit and property tests for sparse probability mass functions.
+ * Unit and property tests for probability mass functions.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "util/counts.hh"
 #include "util/pmf.hh"
@@ -214,6 +217,238 @@ TEST_P(PmfMarginalProperty, MarginalOfMarginalIsDirectMarginal)
 
 INSTANTIATE_TEST_SUITE_P(RandomSeeds, PmfMarginalProperty,
                          ::testing::Range(0, 10));
+
+// ---- content determinism ----------------------------------------------------
+
+/**
+ * Reference content: 48 of the 64 outcomes on 6 bits (every x with
+ * x % 4 != 3), count n(x) out of 1024 shots, so every probability
+ * n/1024 and every split of it below is exact.
+ */
+constexpr int kRefBits = 6;
+constexpr double kRefShots = 1024.0;
+
+std::vector<std::uint64_t>
+refOutcomes()
+{
+    std::vector<std::uint64_t> out;
+    for (std::uint64_t x = 0; x < 64; ++x)
+        if (x % 4 != 3)
+            out.push_back(x);
+    return out;
+}
+
+std::uint64_t
+refCount(std::uint64_t x)
+{
+    // The other 47 outcomes hold 655 shots; x = 0 takes the rest.
+    return x == 0 ? 369 : 8 + x % 13;
+}
+
+/** Outcome order used to write the variants: a fixed shuffle. */
+std::vector<std::uint64_t>
+shuffledOutcomes()
+{
+    std::vector<std::uint64_t> out;
+    for (std::uint64_t i = 0; i < 64; ++i) {
+        const std::uint64_t x = (i * 37 + 11) % 64;
+        if (x % 4 != 3)
+            out.push_back(x);
+    }
+    return out;
+}
+
+TEST(PmfContent, EqualContentGivesIdenticalResults)
+{
+    Pmf sorted(kRefBits);
+    for (std::uint64_t x : refOutcomes())
+        sorted.set(x, static_cast<double>(refCount(x)) / kRefShots);
+    ASSERT_EQ(sorted.totalMass(), 1.0);
+
+    Pmf shuffled(kRefBits);
+    for (std::uint64_t x : shuffledOutcomes())
+        shuffled.set(x, static_cast<double>(refCount(x)) / kRefShots);
+
+    // Each probability written as two exact halves, in two sweeps.
+    Pmf split(kRefBits);
+    for (std::uint64_t x : shuffledOutcomes())
+        split.accumulate(x, static_cast<double>(refCount(x) / 2) /
+                                kRefShots);
+    for (std::uint64_t x : refOutcomes())
+        split.accumulate(x, static_cast<double>(refCount(x) -
+                                                refCount(x) / 2) /
+                                kRefShots);
+
+    // Marginals of 8-bit PMFs: the reference bits sit at 0..5 and
+    // bits 6, 7 carry the rest. With both halves present (96
+    // entries, at least 2^6: the scratch-array path) the marginal
+    // sums pairs; with one entry per outcome (48 entries, fewer than
+    // 2^6: the sort path) it only regroups.
+    const std::vector<int> low = {0, 1, 2, 3, 4, 5};
+    Pmf wide_pairs(8);
+    Pmf wide_single(8);
+    for (std::uint64_t x : shuffledOutcomes()) {
+        const double half = static_cast<double>(refCount(x) / 2);
+        const double rest = static_cast<double>(refCount(x)) - half;
+        wide_pairs.set(x | (1u << 7), rest / kRefShots);
+        wide_pairs.set(x | (1u << 6), half / kRefShots);
+        wide_single.set(x | ((x % 3) << 6),
+                        static_cast<double>(refCount(x)) / kRefShots);
+    }
+
+    Counts counts(kRefBits);
+    for (std::uint64_t x : shuffledOutcomes())
+        counts.add(x, refCount(x));
+
+    const std::vector<Pmf> variants = {
+        shuffled, split, wide_pairs.marginal(low),
+        wide_single.marginal(low), counts.toPmf()};
+    Rng ref_rng(99);
+    const Counts ref_draw = sorted.sample(ref_rng, 4096);
+    for (std::size_t v = 0; v < variants.size(); ++v) {
+        SCOPED_TRACE("variant " + std::to_string(v));
+        const Pmf &pmf = variants[v];
+        ASSERT_EQ(pmf.raw(), sorted.raw());
+        EXPECT_TRUE(std::ranges::is_sorted(pmf.raw()));
+        EXPECT_EQ(pmf.totalMass(), sorted.totalMass());
+        for (std::uint64_t mask = 0; mask < 64; ++mask)
+            EXPECT_EQ(pmf.expectationParity(mask),
+                      sorted.expectationParity(mask));
+        Rng rng(99);
+        const Counts draw = pmf.sample(rng, 4096);
+        EXPECT_EQ(draw.raw(), ref_draw.raw());
+        EXPECT_EQ(draw.totalShots(), 4096u);
+    }
+}
+
+TEST(PmfContent, ArgmaxTieReturnsSmallestOutcome)
+{
+    Pmf pmf(4);
+    pmf.set(9, 0.3);
+    pmf.set(2, 0.1);
+    pmf.set(6, 0.3);
+    pmf.set(11, 0.3);
+    EXPECT_EQ(pmf.argmax(), 6u);
+}
+
+// ---- alias sampler ----------------------------------------------------------
+
+/**
+ * Pearson chi-square of @p counts against @p pmf, with outcomes
+ * pooled into bins by their top @p bin_bits bits. Bins with zero
+ * expected count are skipped.
+ */
+double
+chiSquare(const Pmf &pmf, const Counts &counts, int bin_bits)
+{
+    const int shift = pmf.numBits() - bin_bits;
+    std::vector<double> expected(std::size_t{1} << bin_bits, 0.0);
+    std::vector<double> observed(expected.size(), 0.0);
+    const double scale =
+        static_cast<double>(counts.totalShots()) / pmf.totalMass();
+    for (const auto &[x, p] : pmf.raw())
+        expected[x >> shift] += p * scale;
+    for (const auto &[x, n] : counts.raw())
+        observed[x >> shift] += static_cast<double>(n);
+    double chi = 0.0;
+    for (std::size_t b = 0; b < expected.size(); ++b)
+        if (expected[b] > 0.0)
+            chi += (observed[b] - expected[b]) *
+                   (observed[b] - expected[b]) / expected[b];
+    return chi;
+}
+
+/** Every drawn outcome carries positive probability. */
+void
+expectDrawsInSupport(const Pmf &pmf, const Counts &counts)
+{
+    for (const auto &[x, n] : counts.raw()) {
+        EXPECT_GT(pmf.prob(x), 0.0) << "outcome " << x;
+        EXPECT_GT(n, 0u) << "outcome " << x;
+    }
+}
+
+// Thresholds are chi-square 0.999 quantiles for the bins' degrees
+// of freedom; the seeds are fixed, so each case is deterministic.
+
+TEST(PmfAlias, FourOutcomesChiSquare)
+{
+    const Pmf pmf = Pmf::fromDense(2, {0.1, 0.2, 0.3, 0.4});
+    Rng rng(21);
+    const Counts counts = pmf.sample(rng, 2048);
+    EXPECT_EQ(counts.totalShots(), 2048u);
+    expectDrawsInSupport(pmf, counts);
+    EXPECT_LT(chiSquare(pmf, counts, 2), 16.27); // df 3
+}
+
+TEST(PmfAlias, SixtyFourOutcomesChiSquare)
+{
+    std::vector<double> dense(64);
+    for (std::size_t x = 0; x < dense.size(); ++x)
+        dense[x] = static_cast<double>(1 + x % 7) / 253.0;
+    const Pmf pmf = Pmf::fromDense(6, dense);
+    Rng rng(22);
+    const Counts counts = pmf.sample(rng, 2048);
+    EXPECT_EQ(counts.totalShots(), 2048u);
+    expectDrawsInSupport(pmf, counts);
+    EXPECT_LT(chiSquare(pmf, counts, 6), 103.44); // df 63
+}
+
+TEST(PmfAlias, FewerShotsThanSupportChiSquare)
+{
+    // 2^16 outcomes at 256 shots, pooled into 16 bins whose weights
+    // run 8..23, so every bin expects at least 8 draws.
+    std::vector<double> dense(std::size_t{1} << 16);
+    for (std::size_t x = 0; x < dense.size(); ++x)
+        dense[x] = static_cast<double>(8 + (x >> 12));
+    const Pmf pmf = Pmf::fromDense(16, dense);
+    Rng rng(23);
+    const Counts counts = pmf.sample(rng, 256);
+    EXPECT_EQ(counts.totalShots(), 256u);
+    EXPECT_LE(counts.numOutcomes(), 256u);
+    expectDrawsInSupport(pmf, counts);
+    EXPECT_LT(chiSquare(pmf, counts, 4), 37.70); // df 15
+}
+
+TEST(PmfAlias, SkewedSupportNeverDrawsZeros)
+{
+    Pmf pmf(6);
+    pmf.set(0, 0.5);
+    pmf.set(5, 0.3);
+    pmf.set(9, 0.2 - 2e-13);
+    pmf.set(12, 1e-13);
+    pmf.set(40, 1e-13);
+    pmf.set(3, 0.0);
+    pmf.set(63, 0.0);
+    Rng rng(24);
+    const Counts counts = pmf.sample(rng, 2048);
+    EXPECT_EQ(counts.totalShots(), 2048u);
+    expectDrawsInSupport(pmf, counts);
+    EXPECT_EQ(counts.count(3), 0u);
+    EXPECT_EQ(counts.count(63), 0u);
+    // About 2e-10 expected draws each.
+    EXPECT_EQ(counts.count(12), 0u);
+    EXPECT_EQ(counts.count(40), 0u);
+    EXPECT_LT(chiSquare(pmf, counts, 6), 18.47); // df 4
+}
+
+TEST(PmfAlias, EmptySupportOrNoShotsGivesEmptyCounts)
+{
+    Rng rng(25);
+    const Counts empty = Pmf(3).sample(rng, 100);
+    EXPECT_EQ(empty.numBits(), 3);
+    EXPECT_EQ(empty.totalShots(), 0u);
+    EXPECT_EQ(empty.numOutcomes(), 0u);
+
+    Pmf zeros(3);
+    zeros.set(1, 0.0);
+    zeros.set(6, 0.0);
+    EXPECT_EQ(zeros.sample(rng, 100).numOutcomes(), 0u);
+
+    const Counts none = makeBell().sample(rng, 0);
+    EXPECT_EQ(none.totalShots(), 0u);
+    EXPECT_EQ(none.numOutcomes(), 0u);
+}
 
 } // namespace
 } // namespace varsaw
