@@ -28,7 +28,7 @@
 #include "common.hh"
 #include "mitigation/jigsaw.hh"
 #include "noise/device_model.hh"
-#include "runtime/batch_executor.hh"
+#include "service/execution_service.hh"
 #include "util/csv.hh"
 #include "vqa/ansatz.hh"
 
@@ -79,7 +79,7 @@ measure(bool prefix_shared, const Circuit &ansatz,
     NoisyExecutor exec(device, GateNoiseMode::AnalyticDepolarizing,
                        4321);
     exec.simEngine().setCacheEnabled(prefix_shared);
-    BatchExecutor runtime(exec, RuntimeConfig{});
+    auto runtime = makeSubmitter(exec, RuntimeConfig{});
 
     auto prep = std::make_shared<const Circuit>(ansatz);
     std::vector<Circuit> suffixes;
@@ -102,7 +102,7 @@ measure(bool prefix_shared, const Circuit &ansatz,
             else
                 batch.add(fulls[b], params, shots);
         }
-        for (const auto &pmf : runtime.run(batch))
+        for (const auto &pmf : runtime->run(batch))
             m.checksum += pmf.prob(0);
     }
     m.seconds = watch.seconds();

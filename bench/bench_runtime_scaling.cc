@@ -3,7 +3,7 @@
  * Runtime scaling, in three parts.
  *
  * Part 1 — batched-execution throughput (circuits/sec) and
- * result-cache hit rate vs worker thread count {1, 2, 4, 8} on a
+ * dedupe hit rate vs worker thread count {1, 2, 4, 8} on a
  * fig8-style TFIM workload (per-tick VarSaw batches: shared subset
  * circuits plus one Global per reduced basis, repeated over
  * optimizer-style parameter points with SPSA-like double probes).
@@ -14,14 +14,14 @@
  * Part 2 — shared service vs per-estimator runtimes: two concurrent
  * estimators (VarSaw + Baseline) over ONE overlapping Hamiltonian
  * evaluate the same optimizer trajectory from two client threads,
- * once on private per-estimator BatchExecutors (split thread
- * budget) and once as sessions of one ExecutionService (shared
- * scheduler + shared caches). Every per-tick Global circuit is
- * identical work in the two estimators, so the service's
- * cross-session dedupe executes it once. Expected shape: identical
- * (bit-for-bit) summed energies in both modes, nonzero
- * cross-session hits, fewer backend executions and lower wall time
- * for the shared mode. CSV: bench_runtime_scaling.csv (part 1) and
+ * once on private per-estimator sessions (split thread budget,
+ * one private service each) and once as sessions of one shared
+ * ExecutionService (shared scheduler + shared ledger). Every
+ * per-tick Global circuit is identical work in the two estimators,
+ * so the service's cross-session dedupe executes it once.
+ * Expected shape: identical (bit-for-bit) summed energies in both
+ * modes, nonzero cross-session hits, fewer backend executions and
+ * lower wall time for the shared mode. CSV: bench_runtime_scaling.csv (part 1) and
  * bench_runtime_scaling_shared.csv (part 2).
  *
  * Part 3 — graceful degradation under injected faults: the part-1
@@ -60,7 +60,6 @@
 #include "mitigation/jigsaw.hh"
 #include "noise/device_model.hh"
 #include "pauli/subsetting.hh"
-#include "runtime/batch_executor.hh"
 #include "service/execution_service.hh"
 #include "telemetry/metrics.hh"
 #include "util/csv.hh"
@@ -109,7 +108,7 @@ measure(int threads, const SpatialPlan &plan, const Circuit &ansatz,
     RuntimeConfig config;
     config.threads = threads;
     config.cacheResults = true;
-    BatchExecutor runtime(exec, config);
+    auto runtime = makeSubmitter(exec, config);
 
     Measurement m;
     m.threads = threads;
@@ -119,16 +118,16 @@ measure(int threads, const SpatialPlan &plan, const Circuit &ansatz,
         // point is pure temporal redundancy for the cache.
         for (int probe = 0; probe < 2; ++probe) {
             const auto results =
-                runtime.run(tickBatch(plan, ansatz, params, shots));
+                runtime->run(tickBatch(plan, ansatz, params, shots));
             for (const auto &pmf : results)
                 m.checksum += pmf.prob(0);
         }
     }
     m.seconds = watch.seconds();
-    m.circuitsSubmitted = runtime.jobsSubmitted();
+    m.circuitsSubmitted = runtime->jobsSubmitted();
     m.circuitsExecuted = exec.circuitsExecuted();
     m.retries = exec.retriesPerformed();
-    m.hitRate = runtime.cacheStats().hitRate();
+    m.hitRate = runtime->cacheStats().hitRate();
     return m;
 }
 
@@ -158,8 +157,8 @@ counterValue(const char *name)
 /**
  * Run the two-estimator workload in one mode. @p shared routes both
  * estimators onto sessions of one ExecutionService with
- * @p total_threads workers; otherwise each gets a private
- * BatchExecutor with half the thread budget. One backend executor
+ * @p total_threads workers; otherwise each gets a private session
+ * with half the thread budget. One backend executor
  * (fixed seed) either way, so the content-derived streams make the
  * energies bit-identical across modes.
  */

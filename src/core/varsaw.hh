@@ -29,8 +29,7 @@
 #include "mitigation/executor.hh"
 #include "mitigation/mbm.hh"
 #include "pauli/hamiltonian.hh"
-#include "runtime/batch_executor.hh"
-#include "runtime/submitter.hh"
+#include "service/execution_service.hh"
 #include "sim/circuit.hh"
 #include "vqa/estimator.hh"
 
@@ -64,7 +63,8 @@ struct VarsawConfig
      */
     std::optional<MbmCalibration> mbm;
 
-    /** Batch runtime tunables (threads, result cache). */
+    /** How circuits are submitted (threads, dedupe, or a shared
+     * service; see makeSubmitter()). */
     RuntimeConfig runtime;
 };
 
@@ -113,10 +113,10 @@ class VarsawEstimator : public EnergyEstimator
     /** Reset temporal state (stale chain + scheduler + counters). */
     void resetTemporalState();
 
-    /** The submitter (private runtime or shared-service session)
+    /** The session (private or on a shared service)
      * circuits are submitted through. */
-    JobSubmitter &runtime() { return *runtime_; }
-    const JobSubmitter &runtime() const { return *runtime_; }
+    Session &runtime() { return *runtime_; }
+    const Session &runtime() const { return *runtime_; }
 
   private:
     /** Build per-basis LocalPmfs from this tick's subset runs. */
@@ -138,7 +138,7 @@ class VarsawEstimator : public EnergyEstimator
     const Hamiltonian &hamiltonian_;
     /** Construction-time ansatz snapshot, shared by every job. */
     std::shared_ptr<const Circuit> prep_;
-    std::unique_ptr<JobSubmitter> runtime_;
+    std::unique_ptr<Session> runtime_;
     VarsawConfig config_;
     SpatialPlan plan_;
     GlobalScheduler scheduler_;

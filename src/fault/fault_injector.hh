@@ -7,7 +7,7 @@
  * spikes, wedged workers — and a service that assumes success falls
  * over on first contact. The FaultInjector lets the test suite, the
  * chaos CI job, and the degradation bench throw exactly those
- * failures at the runtime/service layers, REPRODUCIBLY: every
+ * failures at the execution service, REPRODUCIBLY: every
  * injection decision is a pure function of (plan seed, fault site,
  * content key, attempt number), never of thread timing or call
  * order. Two runs with the same plan and the same submissions

@@ -1,8 +1,7 @@
 #include "service/execution_service.hh"
 
-#include <cstdlib>
+#include <functional>
 #include <mutex>
-#include <unordered_map>
 #include <utility>
 
 #include "fault/fault_injector.hh"
@@ -150,23 +149,30 @@ struct SloState
 
 } // namespace
 
+const char *
+latencyClassName(LatencyClass latency_class)
+{
+    return latency_class == LatencyClass::Interactive
+        ? "interactive"
+        : "bulk";
+}
+
 // ---- Session ---------------------------------------------------------------
 
-Session::Session(ExecutionService *service,
-                 std::shared_ptr<ExecutionService> keep_alive,
-                 std::string name, bool cache_results,
-                 bool prefix_aware, LatencyClass latency_class)
-    : service_(service), keepAlive_(std::move(keep_alive)),
-      name_(std::move(name)),
+Session::Session(ExecutionService *service, std::string name,
+                 bool cache_results, LatencyClass latency_class)
+    : service_(service), name_(std::move(name)),
       id_(service->nextSessionId_.fetch_add(
           1, std::memory_order_relaxed)),
       // The queue carries the session label so the scheduler can
       // attribute per-session queue-wait time (name_ and id_ are
       // initialized above; declaration order guarantees it).
-      queue_(service->scheduler_.openQueue(
-          name_.empty() ? "s" + std::to_string(id_) : name_)),
-      cacheResults_(cache_results), prefixAware_(prefix_aware),
-      latencyClass_(latency_class)
+      queue_(service->scheduler_
+                 ? service->scheduler_->openQueue(
+                       name_.empty() ? "s" + std::to_string(id_)
+                                     : name_)
+                 : 0),
+      cacheResults_(cache_results), latencyClass_(latency_class)
 {
     service_->sessionsOpened_.fetch_add(1,
                                         std::memory_order_relaxed);
@@ -182,13 +188,35 @@ Session::~Session()
     service_->unregisterSession(*this);
     // Tasks already admitted still run (the queue is reaped once
     // drained); only further admission stops.
-    service_->scheduler_.closeQueue(queue_);
+    if (service_->scheduler_)
+        service_->scheduler_->closeQueue(queue_);
 }
 
 std::vector<std::future<Pmf>>
 Session::submit(const Batch &batch)
 {
     return service_->submitFor(*this, batch);
+}
+
+std::vector<Pmf>
+Session::run(const Batch &batch)
+{
+    auto futures = submit(batch);
+    std::vector<Pmf> results;
+    results.reserve(futures.size());
+    for (auto &future : futures)
+        results.push_back(future.get());
+    return results;
+}
+
+Pmf
+Session::runOne(const Circuit &circuit,
+                const std::vector<double> &params,
+                std::uint64_t shots)
+{
+    Batch batch;
+    batch.add(circuit, params, shots);
+    return run(batch).front();
 }
 
 Executor &
@@ -239,16 +267,24 @@ Session::stats() const
 
 ExecutionService::ExecutionService(Executor &backend,
                                    ServiceConfig config)
-    : backend_(backend), config_(config),
-      cache_(config.cacheMaxEntries),
-      ledger_(config.cacheMaxEntries),
-      scheduler_(resolveServiceThreads(config.threads),
-                 config.maxQueueDepth)
+    : ExecutionService(backend, config, false)
 {
-    config_.threads = scheduler_.threadCount();
-    if (config_.kernelThreads > 0)
-        setKernelThreads(config_.kernelThreads);
-    maybeStartIntrospection();
+}
+
+ExecutionService::ExecutionService(Executor &backend,
+                                   ServiceConfig config,
+                                   bool private_service)
+    : backend_(backend), config_(config),
+      ledger_(config.cacheMaxEntries)
+{
+    if (private_service && config_.threads == 1)
+        return; // inline: no scheduler, no endpoint
+    scheduler_ = std::make_unique<ServiceScheduler>(
+        resolveServiceThreads(config_.threads),
+        config_.maxQueueDepth);
+    config_.threads = scheduler_->threadCount();
+    if (!private_service)
+        maybeStartIntrospection();
 }
 
 ExecutionService::~ExecutionService()
@@ -309,43 +345,22 @@ ExecutionService::sessionStatus() const
             session->shed_.load(std::memory_order_relaxed);
         row.inlineJobs =
             session->inlineJobs_.load(std::memory_order_relaxed);
-        row.queueDepth = scheduler_.queueDepth(session->queue_);
+        row.queueDepth =
+            scheduler_ ? scheduler_->queueDepth(session->queue_) : 0;
         rows.push_back(std::move(row));
     }
     return rows;
 }
 
 std::unique_ptr<Session>
-ExecutionService::makeSession(
-    std::shared_ptr<ExecutionService> keep_alive, std::string name,
-    bool cache_results, bool prefix_aware,
-    LatencyClass latency_class)
-{
-    return std::unique_ptr<Session>(
-        new Session(this, std::move(keep_alive), std::move(name),
-                    cache_results, prefix_aware, latency_class));
-}
-
-std::unique_ptr<Session>
-ExecutionService::createSession(std::string name)
-{
-    return makeSession(nullptr, std::move(name),
-                       config_.cacheResults,
-                       config_.prefixAwareScheduling,
-                       config_.defaultLatencyClass);
-}
-
-std::unique_ptr<Session>
 ExecutionService::createSession(std::string name,
                                 LatencyClass latency_class)
 {
-    return makeSession(nullptr, std::move(name),
-                       config_.cacheResults,
-                       config_.prefixAwareScheduling,
-                       latency_class);
+    return std::unique_ptr<Session>(new Session(
+        this, std::move(name), config_.cacheResults, latency_class));
 }
 
-std::unique_ptr<JobSubmitter>
+std::unique_ptr<Session>
 ExecutionService::openSession(Executor &backend,
                               const RuntimeConfig &config)
 {
@@ -353,40 +368,47 @@ ExecutionService::openSession(Executor &backend,
         panic("ExecutionService::openSession: the estimator's "
               "executor is not this service's backend (results are "
               "backend-specific; open one service per backend)");
-    return makeSession(nullptr, {}, config.cacheResults,
-                       config.prefixAwareScheduling,
-                       config.latencyClass);
+    return std::unique_ptr<Session>(new Session(
+        this, {}, config.cacheResults, config.latencyClass));
 }
 
 std::unique_ptr<Session>
-ExecutionService::openOwnedSession(
-    std::shared_ptr<ExecutionService> self,
-    const RuntimeConfig &config)
+makeSubmitter(Executor &backend, const RuntimeConfig &config)
 {
-    if (self.get() != this)
-        panic("ExecutionService::openOwnedSession: self mismatch");
-    return makeSession(std::move(self), {}, config.cacheResults,
-                       config.prefixAwareScheduling,
-                       config.latencyClass);
+    if (config.service)
+        return config.service->openSession(backend, config);
+    if (config.threads < 1)
+        panic("makeSubmitter: thread count must be >= 1");
+    ServiceConfig sc;
+    sc.threads = config.threads;
+    sc.cacheMaxEntries = config.cacheMaxEntries;
+    std::unique_ptr<ExecutionService> owned(
+        new ExecutionService(backend, sc, true));
+    std::unique_ptr<Session> session =
+        owned->openSession(backend, config);
+    session->owned_ = std::move(owned);
+    return session;
 }
 
 void
 ExecutionService::drain()
 {
-    scheduler_.drain();
+    if (scheduler_)
+        scheduler_->drain();
 }
 
 void
 ExecutionService::clearSharedCaches()
 {
-    ledger_.clear(cache_);
+    ledger_.clear();
 }
 
 void
 ExecutionService::shutdown()
 {
     closed_.store(true, std::memory_order_release);
-    scheduler_.shutdown();
+    if (scheduler_)
+        scheduler_->shutdown();
 }
 
 ServiceStats
@@ -399,14 +421,16 @@ ExecutionService::stats() const
         jobsSubmitted_.load(std::memory_order_relaxed);
     stats.crossSessionHits =
         crossSessionHits_.load(std::memory_order_relaxed);
-    stats.chunksExecuted = scheduler_.chunksExecuted();
-    stats.kernelAssists = scheduler_.kernelAssists();
-    stats.kernelAssistedChunks = scheduler_.assistedChunks();
+    if (scheduler_) {
+        stats.chunksExecuted = scheduler_->chunksExecuted();
+        stats.kernelAssists = scheduler_->kernelAssists();
+        stats.kernelAssistedChunks = scheduler_->assistedChunks();
+    }
     stats.shedJobs = shedJobs_.load(std::memory_order_relaxed);
     stats.inlineAfterShutdown =
         inlineAfterShutdown_.load(std::memory_order_relaxed);
     stats.quarantinedKeys = ledger_.quarantinedCount();
-    stats.cache = cache_.stats();
+    stats.cache = ledger_.cacheStats();
     return stats;
 }
 
@@ -427,11 +451,116 @@ ExecutionService::submitFor(Session &session, const Batch &batch)
     // admission loop so labeled counters cost one registry lookup
     // per batch, not per job.
     const bool metricsOn = telemetry::metricsEnabled();
-    const std::uint64_t submitNs =
-        metricsOn ? telemetry::nowNs() : 0;
     std::uint64_t tallyHits = 0, tallyCrossHits = 0,
                   tallyMisses = 0, tallyShotsSaved = 0,
-                  tallyInline = 0;
+                  tallyInline = 0, tallyShed = 0;
+
+    // Latency-class SLO accounting: the last chunk to complete
+    // records the batch's submit-to-complete wall time (SloState).
+    std::shared_ptr<SloState> slo;
+    if (metricsOn) {
+        slo = std::make_shared<SloState>();
+        slo->submitNs = telemetry::nowNs();
+        slo->latencyClass = session.latencyClass_;
+        slo->targetNs =
+            session.latencyClass_ == LatencyClass::Interactive
+            ? config_.interactiveSloNs
+            : config_.bulkSloNs;
+    }
+
+    // Ledger admission in submission order: the first session to
+    // claim a key (across ALL tenants) executes it; everyone else —
+    // including other sessions — defers onto the primary's future.
+    // Content-derived streams make the deduped result identical to
+    // what the duplicate would have computed itself, so WHO wins the
+    // claim race can never change a result, only the bookkeeping.
+    // Returns false for a duplicate (its future is already
+    // appended); otherwise @p publish receives the primary's ledger
+    // promise (null on a cache-off session, which never claims).
+    const auto admit = [&](const CircuitJob &job, const JobKey &key,
+                           std::shared_ptr<std::promise<Pmf>> &publish) {
+        if (telemetry::tracingEnabled())
+            telemetry::SpanTracer::instance().instant(
+                "enqueue", jobStream(key),
+                sessionLabel(session).c_str());
+        if (!session.cacheResults_)
+            return true;
+        std::uint64_t primary_owner = 0;
+        auto claim = [&] {
+            telemetry::ScopedPhase phase(
+                telemetry::Phase::LedgerLookup);
+            return ledger_.claim(key, job.shots, session.id_,
+                                 &primary_owner);
+        }();
+        if (claim.duplicate()) {
+            session.hits_.fetch_add(1, std::memory_order_relaxed);
+            session.shotsSaved_.fetch_add(job.shots,
+                                          std::memory_order_relaxed);
+            ++tallyHits;
+            tallyShotsSaved += job.shots;
+            if (primary_owner != session.id_) {
+                session.crossHits_.fetch_add(
+                    1, std::memory_order_relaxed);
+                crossSessionHits_.fetch_add(
+                    1, std::memory_order_relaxed);
+                ++tallyCrossHits;
+            }
+            futures.push_back(
+                JobLedger::deferToPrimary(std::move(claim)));
+            return false;
+        }
+        session.misses_.fetch_add(1, std::memory_order_relaxed);
+        ++tallyMisses;
+        publish = std::move(claim.publish);
+        return true;
+    };
+
+    // Publishes the batch's tallies once both paths are done.
+    const auto publishTallies = [&] {
+        if (!metricsOn)
+            return;
+        ServiceMetrics &svc = ServiceMetrics::get();
+        svc.jobsSubmitted.add(batch.size());
+        svc.crossSessionHits.add(tallyCrossHits);
+        svc.shed.add(tallyShed);
+        SessionBatchMetrics m =
+            SessionBatchMetrics::forSession(session);
+        m.jobs.add(batch.size());
+        m.hits.add(tallyHits);
+        m.crossHits.add(tallyCrossHits);
+        m.misses.add(tallyMisses);
+        m.shotsSaved.add(tallyShotsSaved);
+        m.inlineJobs.add(tallyInline);
+    };
+
+    if (!scheduler_) {
+        // Inline service: every primary runs on the submitting
+        // thread before submit() returns, so the batch is neither
+        // copied nor chunked. A failed execution (StatusError:
+        // quarantine, retries exhausted, invalid job) fails THIS
+        // job's future and nothing else.
+        for (const CircuitJob &job : batch.jobs()) {
+            const JobKey key = makeJobKey(job);
+            std::shared_ptr<std::promise<Pmf>> publish;
+            if (!admit(job, key, publish))
+                continue;
+            std::promise<Pmf> done;
+            try {
+                done.set_value(ledger_.executeAndPublish(
+                    backend_, job, key, publish));
+            } catch (...) {
+                done.set_exception(std::current_exception());
+            }
+            futures.push_back(done.get_future());
+            ++tallyInline;
+        }
+        session.inlineJobs_.fetch_add(tallyInline,
+                                      std::memory_order_relaxed);
+        if (slo)
+            slo->record();
+        publishTallies();
+        return futures;
+    }
 
     // Task closures reference the jobs through shared batch storage
     // (one copy per submit), so futures stay valid even if the
@@ -439,74 +568,30 @@ ExecutionService::submitFor(Session &session, const Batch &batch)
     // resolve; they capture the service, never the session.
     auto owned = std::make_shared<const std::vector<CircuitJob>>(
         batch.jobs());
-    std::vector<PrepKey> prep_keys;
-    if (session.prefixAware_)
-        prep_keys = prepKeysOf(*owned);
+    const std::vector<PrepKey> prep_keys = prepKeysOf(*owned);
 
     // One pending record per primary job: the task closure plus the
     // metadata the shed path needs to fail the job WITHOUT running
     // it (its ledger claim and its caller-facing promise).
     struct PendingJob
     {
-        PrepKey prepKey;
         JobKey key;
         std::shared_ptr<std::promise<Pmf>> publish; //!< ledger claim
         std::shared_ptr<std::promise<Pmf>> done; //!< caller's future
         std::function<void()> run;
     };
     std::vector<PendingJob> pending;
+    std::vector<PrepKey> pending_keys;
     pending.reserve(owned->size());
+    pending_keys.reserve(owned->size());
 
     for (std::size_t i = 0; i < owned->size(); ++i) {
         const CircuitJob &job = (*owned)[i];
         const JobKey key = makeJobKey(job);
-        if (telemetry::tracingEnabled())
-            telemetry::SpanTracer::instance().instant(
-                "enqueue", jobStream(key),
-                sessionLabel(session).c_str());
-
-        // Shared-ledger admission in submission order: the first
-        // session to claim a key (across ALL tenants) executes it;
-        // everyone else — including other sessions — defers onto
-        // the primary's future. Content-derived streams make the
-        // deduped result identical to what the duplicate would have
-        // computed itself, so WHO wins the claim race can never
-        // change a result, only the bookkeeping.
         std::shared_ptr<std::promise<Pmf>> publish;
-        if (session.cacheResults_) {
-            std::uint64_t primary_owner = 0;
-            auto claim = [&] {
-                telemetry::ScopedPhase phase(
-                    telemetry::Phase::LedgerLookup);
-                return ledger_.claim(key, job.shots, cache_,
-                                     session.id_, &primary_owner);
-            }();
-            if (claim.duplicate()) {
-                session.hits_.fetch_add(1,
-                                        std::memory_order_relaxed);
-                session.shotsSaved_.fetch_add(
-                    job.shots, std::memory_order_relaxed);
-                ++tallyHits;
-                tallyShotsSaved += job.shots;
-                if (primary_owner != session.id_) {
-                    session.crossHits_.fetch_add(
-                        1, std::memory_order_relaxed);
-                    crossSessionHits_.fetch_add(
-                        1, std::memory_order_relaxed);
-                    ++tallyCrossHits;
-                }
-                futures.push_back(
-                    JobLedger::deferToPrimary(std::move(claim)));
-                continue;
-            }
-            session.misses_.fetch_add(1, std::memory_order_relaxed);
-            ++tallyMisses;
-            publish = std::move(claim.publish);
-        }
-
+        if (!admit(job, key, publish))
+            continue;
         const CircuitJob *job_ptr = &job;
-        ResultCache *cache =
-            session.cacheResults_ ? &cache_ : nullptr;
         // Explicit promise instead of a packaged_task so the shed
         // path can fail the future without running the task. A
         // failed execution (StatusError: quarantine, retries
@@ -514,29 +599,27 @@ ExecutionService::submitFor(Session &session, const Batch &batch)
         // nothing else — the rest of its chunk still runs.
         auto done = std::make_shared<std::promise<Pmf>>();
         futures.push_back(done->get_future());
-        auto run = [this, owned, job_ptr, key, cache, publish,
-                    done] {
+        auto run = [this, owned, job_ptr, key, publish, done] {
             try {
                 done->set_value(ledger_.executeAndPublish(
-                    backend_, *job_ptr, key, cache, publish));
+                    backend_, *job_ptr, key, publish));
             } catch (...) {
                 done->set_exception(std::current_exception());
             }
         };
         pending.push_back(
-            {session.prefixAware_ ? prep_keys[i] : PrepKey{}, key,
-             std::move(publish), std::move(done), std::move(run)});
+            {key, std::move(publish), std::move(done),
+             std::move(run)});
+        pending_keys.push_back(prep_keys[i]);
     }
 
-    // Admission: prefix-aware chunks (or one task per chunk) into
-    // this session's FIFO queue; the scheduler round-robins across
-    // sessions. Three non-Accepted outcomes, all local to the
-    // chunk:
+    // Admission: prefix-aware chunks into this session's FIFO queue;
+    // the scheduler round-robins across sessions. Three
+    // non-Accepted outcomes, all local to the chunk:
     //  - Closed (shutdown, or a shutdown racing this submit): the
     //    chunk runs inline on the submitting thread — same jobs,
-    //    same streams, same results (satellite counter
-    //    service.inline_after_shutdown + a once-per-service warn;
-    //    this fallover used to be silent).
+    //    same streams, same results (counter
+    //    service.inline_after_shutdown + a once-per-service warn).
     //  - Full (queue at ServiceConfig::maxQueueDepth): the chunk is
     //    SHED — every job's future fails with ResourceExhausted and
     //    its ledger claim is abandoned so cross-session duplicates
@@ -546,32 +629,11 @@ ExecutionService::submitFor(Session &session, const Batch &batch)
     //    keyed by the chunk's first job): degrade to inline
     //    execution, as if the worker assigned to the chunk never
     //    picked it up and the submitter reclaimed the work.
-    std::vector<std::vector<std::size_t>> chunk_indices;
-    if (session.prefixAware_) {
-        std::vector<PrepKey> pending_keys;
-        pending_keys.reserve(pending.size());
-        for (const PendingJob &p : pending)
-            pending_keys.push_back(p.prepKey);
-        chunk_indices = prefixScheduleIndexChunks(
-            pending_keys,
-            static_cast<std::size_t>(scheduler_.threadCount()));
-    } else {
-        chunk_indices.reserve(pending.size());
-        for (std::size_t i = 0; i < pending.size(); ++i)
-            chunk_indices.push_back({i});
-    }
-    // Latency-class SLO accounting: the last chunk to complete
-    // records the batch's submit-to-complete wall time (SloState).
+    const auto chunk_indices = prefixScheduleIndexChunks(
+        pending_keys,
+        static_cast<std::size_t>(scheduler_->threadCount()));
     // All-hit batches (no chunks) complete right here.
-    std::shared_ptr<SloState> slo;
-    if (metricsOn) {
-        slo = std::make_shared<SloState>();
-        slo->submitNs = submitNs;
-        slo->latencyClass = session.latencyClass_;
-        slo->targetNs =
-            session.latencyClass_ == LatencyClass::Interactive
-            ? config_.interactiveSloNs
-            : config_.bulkSloNs;
+    if (slo) {
         slo->remaining.store(chunk_indices.size(),
                              std::memory_order_relaxed);
         if (chunk_indices.empty())
@@ -579,7 +641,6 @@ ExecutionService::submitFor(Session &session, const Batch &batch)
     }
 
     auto &injector = fault::FaultInjector::instance();
-    std::uint64_t tallyShed = 0;
     for (const auto &indices : chunk_indices) {
         auto shared = std::make_shared<
             std::vector<std::function<void()>>>();
@@ -604,13 +665,13 @@ ExecutionService::submitFor(Session &session, const Batch &batch)
             continue;
         }
 
-        switch (scheduler_.enqueue(session.queue_, runner)) {
+        switch (scheduler_->enqueue(session.queue_, runner)) {
         case ServiceScheduler::Admission::Accepted:
             break;
         case ServiceScheduler::Admission::Full: {
             const Status status = resourceExhaustedError(
                 "session admission queue is full (maxQueueDepth=" +
-                std::to_string(scheduler_.maxQueueDepth()) +
+                std::to_string(scheduler_->maxQueueDepth()) +
                 "): job shed — back off and resubmit");
             for (std::size_t i : indices) {
                 PendingJob &p = pending[i];
@@ -649,89 +710,8 @@ ExecutionService::submitFor(Session &session, const Batch &batch)
         }
     }
 
-    if (metricsOn) {
-        ServiceMetrics &svc = ServiceMetrics::get();
-        svc.jobsSubmitted.add(batch.size());
-        svc.crossSessionHits.add(tallyCrossHits);
-        svc.shed.add(tallyShed);
-        SessionBatchMetrics m =
-            SessionBatchMetrics::forSession(session);
-        m.jobs.add(batch.size());
-        m.hits.add(tallyHits);
-        m.crossHits.add(tallyCrossHits);
-        m.misses.add(tallyMisses);
-        m.shotsSaved.add(tallyShotsSaved);
-        m.inlineJobs.add(tallyInline);
-    }
+    publishTallies();
     return futures;
 }
-
-// ---- VARSAW_SHARED_SERVICE env shim ----------------------------------------
-
-namespace {
-
-/**
- * Process-wide registry backing the VARSAW_SHARED_SERVICE=1 mode:
- * every estimator constructed without an explicit service is routed
- * onto ONE shared service per backend executor. Sessions hold the
- * service by shared_ptr, so the last session of a backend tears its
- * service down and the weak entry expires; a later estimator on the
- * same (or an address-reusing) backend builds a fresh service.
- * This is how CI runs the entire suite through the service layer.
- */
-std::mutex sharedRegistryMutex;
-std::unordered_map<Executor *, std::weak_ptr<ExecutionService>>
-    sharedRegistry;
-
-std::unique_ptr<JobSubmitter>
-sharedServiceSession(Executor &backend, const RuntimeConfig &config)
-{
-    std::shared_ptr<ExecutionService> service;
-    {
-        std::lock_guard<std::mutex> lock(sharedRegistryMutex);
-        auto &slot = sharedRegistry[&backend];
-        service = slot.lock();
-        if (!service) {
-            // Service defaults throughout: auto thread count and
-            // the default shared-ledger cap. Deliberately NOT the
-            // first estimator's cacheMaxEntries — the shared cap is
-            // a service-wide property (RuntimeConfig documents the
-            // field as ignored under a service), and letting one
-            // tenant's small cap thrash every later tenant's dedupe
-            // would silently balloon circuit costs. Per-session
-            // cacheResults/prefixAwareScheduling still come from
-            // each estimator's RuntimeConfig below.
-            service = std::make_shared<ExecutionService>(
-                backend, ServiceConfig{});
-            slot = service;
-        }
-        // Opportunistic cleanup of expired entries (dead backends).
-        // varsaw-lint: allow(unordered-iter) order-insensitive erase of expired weak_ptrs; no result observes the walk
-        for (auto it = sharedRegistry.begin();
-             it != sharedRegistry.end();) {
-            if (it->second.expired())
-                it = sharedRegistry.erase(it);
-            else
-                ++it;
-        }
-    }
-    ExecutionService *raw = service.get();
-    return raw->openOwnedSession(std::move(service), config);
-}
-
-/** Installs the backplane hook at static-init when the env asks. */
-struct SharedServiceEnvShim
-{
-    SharedServiceEnvShim()
-    {
-        const char *env = std::getenv("VARSAW_SHARED_SERVICE");
-        if (env && env[0] == '1' && env[1] == '\0')
-            setProcessBackplane(&sharedServiceSession);
-    }
-};
-
-const SharedServiceEnvShim sharedServiceEnvShim{};
-
-} // namespace
 
 } // namespace varsaw

@@ -1,30 +1,29 @@
 /**
  * @file
- * The shared execution service: one process-wide scheduler, shared
- * caches, multi-tenant sessions.
+ * The execution service: the one path every circuit job takes.
  *
- * Before this layer, every estimator owned a private BatchExecutor
- * — its own worker pool, its own ResultCache — so
- * SelectiveVarsawEstimator's heavy/light halves, a ZNE wrapper over
- * a baseline, or two concurrent clients re-executed identical jobs
- * and competed for cores. The ExecutionService inverts the
- * ownership: ONE service per backend owns the worker supply (a
+ * An ExecutionService owns a backend's worker supply (a
  * ServiceScheduler whose threads also serve as the kernel-helper
- * pool) and the shared dedupe state (one JobLedger + ResultCache
- * across all tenants, plus the backend SimEngine's StateCache,
- * which all sessions share by construction). Estimators and
- * external clients hold cheap Session handles and submit batches
- * through them; identical (prep, suffix, params, shots) work
- * submitted by DIFFERENT sessions executes once.
+ * pool) and its dedupe state (one JobLedger; the backend
+ * SimEngine's StateCache is shared by construction). Clients hold
+ * Session handles and submit Batches through them; identical
+ * (prep, suffix, params, shots) work submitted by DIFFERENT
+ * sessions executes once.
+ *
+ * Estimators get their Session from makeSubmitter(): a session of
+ * RuntimeConfig::service when one is set (several estimators, one
+ * service), otherwise a session that owns a private service sized
+ * from RuntimeConfig::threads. A private service with one thread
+ * has no scheduler at all: jobs run inline on the submitting
+ * thread, in submission order.
  *
  * Determinism contract: every job's sampling stream is derived from
  * its content key (see jobStream), so a job's result is a pure
- * function of (backend, job content). Cross-session dedupe, cache
+ * function of (backend, job content). Cross-session dedupe, ledger
  * eviction, fairness decisions, worker lending, shutdown races —
- * none of them can change a result bit: a shared-service run is
- * bit-identical to the same estimators on private runtimes, at any
- * thread count, session count, or submission interleaving. What
- * interleaving CAN change is bookkeeping (which session's
+ * none of them can change a result bit: a run is bit-identical at
+ * any thread count, session count, or submission interleaving.
+ * What interleaving CAN change is bookkeeping (which session's
  * submission was the primary, hence per-session hit splits and
  * wall time) — never results or the set of results.
  *
@@ -35,9 +34,8 @@
  * the workers; submissions arriving after shutdown execute inline
  * on the submitting thread with identical results.
  *
- * Layering: service/ sits on top of runtime/ (it implements the
- * ExecutionBackplane interface estimators reach through
- * RuntimeConfig::service); nothing below service/ may include it.
+ * Layering: service/ sits above sim/ and mitigation/; estimators
+ * (vqa/, core/) include it, and nothing below it may.
  */
 
 #ifndef VARSAW_SERVICE_EXECUTION_SERVICE_HH
@@ -45,6 +43,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <future>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -52,18 +51,74 @@
 #include <vector>
 
 #include "mitigation/executor.hh"
-#include "runtime/batch_executor.hh"
-#include "runtime/job_ledger.hh"
-#include "runtime/result_cache.hh"
-#include "runtime/submitter.hh"
+#include "service/job_ledger.hh"
 #include "service/scheduler.hh"
+#include "sim/job.hh"
 #include "telemetry/introspect.hh"
+#include "util/pmf.hh"
 
 namespace varsaw {
 
 class ExecutionService;
+class Session;
 
-/** Tunables of the shared execution service. */
+/**
+ * Latency expectation a submitter declares for its jobs. Purely an
+ * accounting label: the service never reorders or prioritizes by
+ * it — results and scheduling are class-independent. Each class
+ * gets its own `service.latency_ns{class=...}` histogram and SLO
+ * burn counter (see ServiceConfig::interactiveSloNs / bulkSloNs).
+ */
+enum class LatencyClass : int
+{
+    Interactive = 0, //!< human in the loop — tight latency target
+    Bulk = 1,        //!< throughput-oriented sweeps — loose target
+};
+
+/** Telemetry label value of a latency class ("interactive"/"bulk"). */
+const char *latencyClassName(LatencyClass latency_class);
+
+/** How an estimator submits its circuits (see makeSubmitter()). */
+struct RuntimeConfig
+{
+    /**
+     * Worker threads of the estimator's private service. 1 (the
+     * default) runs every job inline on the submitting thread — no
+     * scheduler threads are started, and behaviour matches a plain
+     * serial loop over executeJob(). Ignored when @ref service is
+     * set (that service's workers are the thread supply).
+     */
+    int threads = 1;
+
+    /** Dedupe identical submissions through the ledger. Honored per
+     * session under a shared service too: a cache-off session
+     * bypasses the shared ledger entirely. */
+    bool cacheResults = false;
+
+    /**
+     * Tracked-key cap of the private service's ledger. Ignored under
+     * a shared service — the cap of the SHARED ledger is
+     * ServiceConfig::cacheMaxEntries, fixed when the service is
+     * built.
+     */
+    std::size_t cacheMaxEntries = 1 << 16;
+
+    /**
+     * Shared execution service to open a session on instead of
+     * building a private one. Non-owning: the service must outlive
+     * every estimator using it.
+     */
+    ExecutionService *service = nullptr;
+
+    /**
+     * Declared latency class of this estimator's submissions. Pure
+     * accounting — see LatencyClass. Selects the session's
+     * `service.latency_ns{class=...}` series and SLO target.
+     */
+    LatencyClass latencyClass = LatencyClass::Bulk;
+};
+
+/** Tunables of a shared execution service. */
 struct ServiceConfig
 {
     /**
@@ -72,33 +127,21 @@ struct ServiceConfig
      * VARSAW_SERVICE_THREADS when set, else the hardware
      * concurrency. This is the ONE thread knob to size: the same
      * workers run batch jobs and are lent to engaged kernels, so
-     * the old batchThreads x kernelThreads <= cores rule does not
-     * apply. Results never depend on it.
+     * no batchThreads x kernelThreads sizing rule applies. Results
+     * never depend on it.
      */
     int threads = 0;
 
     /**
      * Dedupe identical submissions across ALL sessions through the
-     * shared ledger + result cache (on by default — sharing is the
-     * point of the service). Sessions opened with an explicit
-     * RuntimeConfig can still opt out individually.
+     * shared ledger (on by default — sharing is the point of the
+     * service). Sessions opened with an explicit RuntimeConfig can
+     * still opt out individually.
      */
     bool cacheResults = true;
 
-    /** Tracked-key cap of the shared dedupe ledger / result cache. */
+    /** Tracked-key cap of the shared dedupe ledger. */
     std::size_t cacheMaxEntries = 1 << 16;
-
-    /** Default prefix-aware placement for sessions (see
-     * RuntimeConfig::prefixAwareScheduling). */
-    bool prefixAwareScheduling = true;
-
-    /**
-     * Intra-kernel threads to apply at service construction via
-     * setKernelThreads() — this sets the per-loop helper admission
-     * cap; the helpers themselves are the service's idle workers.
-     * 0 leaves the process-wide setting untouched.
-     */
-    int kernelThreads = 0;
 
     /**
      * Per-session admission-queue depth cap (scheduler chunks, not
@@ -106,8 +149,7 @@ struct ServiceConfig
      * cap is SHED: the chunk's jobs fail with ResourceExhausted
      * (their ledger claims are abandoned so cross-session waiters
      * fail too instead of hanging) and the caller is expected to
-     * back off and resubmit. 0 (the default) = unbounded, the
-     * historical behaviour.
+     * back off and resubmit. 0 (the default) = unbounded.
      */
     std::size_t maxQueueDepth = 0;
 
@@ -121,10 +163,6 @@ struct ServiceConfig
      */
     std::uint64_t interactiveSloNs = 100'000'000;     //!< 100 ms
     std::uint64_t bulkSloNs = 10'000'000'000;         //!< 10 s
-
-    /** Latency class of sessions that do not declare one (see
-     * RuntimeConfig::latencyClass for sessions that do). */
-    LatencyClass defaultLatencyClass = LatencyClass::Bulk;
 };
 
 /** Per-session submission/dedupe statistics. */
@@ -147,9 +185,9 @@ struct SessionStats
     /** Shots avoided across this session's hits. */
     std::uint64_t shotsSaved = 0;
 
-    /** Jobs executed inline on the submitting thread (after
-     * service shutdown, when admission raced it, or degraded
-     * around an injected worker stall). */
+    /** Jobs executed inline on the submitting thread (on an
+     * inline service, after service shutdown, when admission raced
+     * it, or degraded around an injected worker stall). */
     std::uint64_t inlineJobs = 0;
 
     /** Jobs shed at admission (queue at its depth cap): their
@@ -190,41 +228,54 @@ struct ServiceStats
     /** Poison keys currently quarantined in the shared ledger. */
     std::uint64_t quarantinedKeys = 0;
 
-    /** Shared result-cache statistics (all sessions combined). */
+    /** Ledger hit/miss statistics (all sessions combined). */
     CacheStats cache;
 };
 
 /**
- * A tenant's handle onto the shared service. Implements
- * JobSubmitter, so estimators use it exactly like a private
- * BatchExecutor. Cheap to create; destroy to release the session's
- * admission queue (tasks already admitted still run). Must not
- * outlive the service unless it was opened through the owning
- * (shared_ptr) path.
+ * A tenant's handle onto an execution service. Cheap to create;
+ * destroy to release the session's admission queue (tasks already
+ * admitted still run). A session opened on a shared service must
+ * not outlive it; a makeSubmitter() session may own its service.
  */
-class Session : public JobSubmitter
+class Session
 {
   public:
-    ~Session() override;
+    ~Session();
 
     Session(const Session &) = delete;
     Session &operator=(const Session &) = delete;
 
-    std::vector<std::future<Pmf>> submit(const Batch &batch) override;
+    /**
+     * Submit every job of @p batch; the returned futures are aligned
+     * with the batch's job indices. On an inline service the jobs
+     * have run before this returns.
+     */
+    std::vector<std::future<Pmf>> submit(const Batch &batch);
 
-    Executor &backend() override;
-    const Executor &backend() const override;
+    /** Submit and wait: results aligned with the job indices. */
+    std::vector<Pmf> run(const Batch &batch);
+
+    /** Convenience: run a single job through the session. */
+    Pmf runOne(const Circuit &circuit,
+               const std::vector<double> &params,
+               std::uint64_t shots);
+
+    /** The backend jobs execute on (cost counters live there). */
+    Executor &backend();
+    const Executor &backend() const;
 
     /**
-     * This session's share of the shared cache:
+     * This session's share of the service's ledger:
      * hits/misses/shotsSaved as counted at this session's
-     * submissions (circuitsSaved == hits). Insertions/evictions are
-     * service-wide concepts and read 0 here; see
-     * ExecutionService::cache() for the global view.
+     * submissions (circuitsSaved == hits). Evictions are a
+     * service-wide concept and read 0 here; see
+     * ExecutionService::stats() for the global view.
      */
-    CacheStats cacheStats() const override;
+    CacheStats cacheStats() const;
 
-    std::uint64_t jobsSubmitted() const override;
+    /** Jobs submitted through this session since construction. */
+    std::uint64_t jobsSubmitted() const;
 
     /** Full per-session statistics. */
     SessionStats stats() const;
@@ -244,21 +295,20 @@ class Session : public JobSubmitter
 
   private:
     friend class ExecutionService;
+    friend std::unique_ptr<Session>
+    makeSubmitter(Executor &backend, const RuntimeConfig &config);
 
-    Session(ExecutionService *service,
-            std::shared_ptr<ExecutionService> keep_alive,
-            std::string name, bool cache_results,
-            bool prefix_aware, LatencyClass latency_class);
+    Session(ExecutionService *service, std::string name,
+            bool cache_results, LatencyClass latency_class);
 
     ExecutionService *service_;
-    /** Set on the owning path (env shim): the last session keeps
-     * the service alive. */
-    std::shared_ptr<ExecutionService> keepAlive_;
+    /** Set by makeSubmitter() when the session owns a private
+     * service; destroyed after ~Session() has closed the queue. */
+    std::unique_ptr<ExecutionService> owned_;
     std::string name_;
     std::uint64_t id_;
     std::uint64_t queue_;
     bool cacheResults_;
-    bool prefixAware_;
     LatencyClass latencyClass_;
 
     std::atomic<std::uint64_t> jobs_{0};
@@ -270,58 +320,58 @@ class Session : public JobSubmitter
     std::atomic<std::uint64_t> shed_{0};
 };
 
-/** The shared execution service (see file comment). */
-class ExecutionService : public ExecutionBackplane
+/**
+ * Build the session an estimator submits through: a session of
+ * config.service when one is set; otherwise a session owning a
+ * private service with config.threads workers (inline when 1) and a
+ * config.cacheMaxEntries ledger. The session honors
+ * config.cacheResults either way. A private service starts no
+ * introspection endpoint.
+ */
+std::unique_ptr<Session> makeSubmitter(Executor &backend,
+                                       const RuntimeConfig &config);
+
+/** The execution service (see file comment). */
+class ExecutionService
 {
   public:
     /**
      * @param backend Executor all sessions' jobs run on. One
      *                service per backend: results are
-     *                backend-specific, so cached results must never
-     *                cross backends.
+     *                backend-specific, so deduped results must
+     *                never cross backends.
      * @param config  Service tunables.
      */
     explicit ExecutionService(Executor &backend,
                               ServiceConfig config = {});
 
-    /** shutdown(), then releases the scheduler and caches. */
-    ~ExecutionService() override;
+    /** shutdown(), then releases the scheduler and ledger. */
+    ~ExecutionService();
+
+    ExecutionService(const ExecutionService &) = delete;
+    ExecutionService &operator=(const ExecutionService &) = delete;
 
     /**
-     * Open a session with the service's default cache/placement
-     * settings. The session borrows the service (must not outlive
-     * it).
-     */
-    std::unique_ptr<Session> createSession(std::string name = {});
-
-    /**
-     * createSession with an explicit latency class (the SLO series
-     * the session's batches are accounted under — see
-     * ServiceConfig::interactiveSloNs / bulkSloNs). Accounting only:
-     * admission and scheduling treat every class identically.
+     * Open a session with the service's default cache setting. The
+     * session borrows the service (must not outlive it).
+     * @p latency_class selects the SLO series the session's batches
+     * are accounted under (see ServiceConfig::interactiveSloNs /
+     * bulkSloNs). Accounting only: admission and scheduling treat
+     * every class identically.
      */
     std::unique_ptr<Session>
-    createSession(std::string name, LatencyClass latency_class);
+    createSession(std::string name = {},
+                  LatencyClass latency_class = LatencyClass::Bulk);
 
     /**
-     * ExecutionBackplane: open a session for an estimator.
+     * Open a session for an estimator (see makeSubmitter()).
      * @p backend must be THIS service's backend. Honors
-     * config.cacheResults / config.prefixAwareScheduling per
-     * session; config.threads is ignored (the service's workers are
-     * the thread supply).
+     * config.cacheResults and config.latencyClass per session;
+     * config.threads is ignored (the service's workers are the
+     * thread supply).
      */
-    std::unique_ptr<JobSubmitter>
-    openSession(Executor &backend,
-                const RuntimeConfig &config) override;
-
-    /**
-     * Owning variant used when sessions must keep the service alive
-     * (the VARSAW_SHARED_SERVICE env shim): @p self must be a
-     * shared_ptr to this service.
-     */
-    std::unique_ptr<Session>
-    openOwnedSession(std::shared_ptr<ExecutionService> self,
-                     const RuntimeConfig &config);
+    std::unique_ptr<Session> openSession(Executor &backend,
+                                         const RuntimeConfig &config);
 
     /** The backend all sessions execute on. */
     Executor &backend() { return backend_; }
@@ -337,10 +387,6 @@ class ExecutionService : public ExecutionBackplane
         return backend_.simEngine();
     }
 
-    /** The shared result cache (service-wide statistics). */
-    const ResultCache &cache() const { return cache_; }
-    ResultCache &cache() { return cache_; }
-
     /** The shared dedupe ledger (quarantine inspection /
      * clearQuarantine() after operator intervention). */
     const JobLedger &ledger() const { return ledger_; }
@@ -349,20 +395,21 @@ class ExecutionService : public ExecutionBackplane
     /** Service configuration in use (threads resolved). */
     const ServiceConfig &config() const { return config_; }
 
-    /** Resolved worker count. */
-    int threadCount() const { return scheduler_.threadCount(); }
+    /** Resolved worker count (1 for an inline service: the
+     * submitting thread). */
+    int threadCount() const { return config_.threads; }
 
     /** Block until every admitted task has completed. */
     void drain();
 
     /**
-     * Drop all shared dedupe state (ledger + result cache; the
-     * backend's StateCache is untouched). Results cannot change —
-     * they are pure functions of job content — so this only costs
+     * Drop all shared dedupe state (the ledger; the backend's
+     * StateCache is untouched). Results cannot change — they are
+     * pure functions of job content — so this only costs
      * re-execution. Use it to release memory, or to fence
      * measurement phases whose cost accounting must not share work
-     * (e.g. comparing methods under a circuit budget, as
-     * quickstart does). Safe during concurrent submission.
+     * (e.g. comparing methods under a circuit budget, as quickstart
+     * does). Safe during concurrent submission.
      */
     void clearSharedCaches();
 
@@ -386,15 +433,20 @@ class ExecutionService : public ExecutionBackplane
 
   private:
     friend class Session;
+    friend std::unique_ptr<Session>
+    makeSubmitter(Executor &backend, const RuntimeConfig &config);
+
+    /**
+     * @p private_service: the service of one makeSubmitter()
+     * session. It starts no introspection endpoint, and with one
+     * thread it builds no scheduler — jobs run inline.
+     */
+    ExecutionService(Executor &backend, ServiceConfig config,
+                     bool private_service);
 
     /** Session-facing submission core (defined in the .cc). */
     std::vector<std::future<Pmf>>
     submitFor(Session &session, const Batch &batch);
-
-    std::unique_ptr<Session>
-    makeSession(std::shared_ptr<ExecutionService> keep_alive,
-                std::string name, bool cache_results,
-                bool prefix_aware, LatencyClass latency_class);
 
     /** Start the live-introspection endpoint when
      * telemetry::introspectPath() is set (ctor helper). */
@@ -411,7 +463,6 @@ class ExecutionService : public ExecutionBackplane
 
     Executor &backend_;
     ServiceConfig config_;
-    ResultCache cache_;
     JobLedger ledger_;
     std::atomic<std::uint64_t> nextSessionId_{1};
     std::atomic<std::uint64_t> sessionsOpened_{0};
@@ -430,17 +481,17 @@ class ExecutionService : public ExecutionBackplane
      * ~Session before the session's members die. */
     std::map<std::uint64_t, Session *> liveSessions_;
     /**
-     * Declared last: its destructor (via shutdown()) joins the
-     * workers first, so no in-flight task can touch the ledger or
-     * cache after they are destroyed.
+     * Null for an inline service. Declared after the ledger: its
+     * destructor (via shutdown()) joins the workers first, so no
+     * in-flight task can touch the ledger after it is destroyed.
      */
-    ServiceScheduler scheduler_;
+    std::unique_ptr<ServiceScheduler> scheduler_;
     /**
      * Declared after scheduler_ so it is destroyed FIRST: the
      * endpoint's accept thread reads stats()/sessionStatus() and
      * must be joined before the scheduler or the session registry
      * can go away. Null unless VARSAW_INTROSPECT / --introspect was
-     * set when the service was constructed.
+     * set when a shared service was constructed.
      */
     std::unique_ptr<telemetry::IntrospectServer> introspect_;
 };

@@ -1,4 +1,4 @@
-#include "runtime/job_ledger.hh"
+#include "service/job_ledger.hh"
 
 #include <utility>
 
@@ -20,6 +20,7 @@ namespace {
 struct LedgerMetrics
 {
     telemetry::Counter &dedupeHits;
+    telemetry::Counter &shotsSaved;
     telemetry::Counter &claims;
     telemetry::Counter &evictions;
     telemetry::Counter &quarantined;
@@ -31,6 +32,7 @@ struct LedgerMetrics
         auto &reg = telemetry::MetricsRegistry::instance();
         static LedgerMetrics *m = new LedgerMetrics{
             reg.counter("runtime.ledger.dedupe_hits"),
+            reg.counter("runtime.ledger.shots_saved"),
             reg.counter("runtime.ledger.claims"),
             reg.counter("runtime.ledger.evictions"),
             reg.counter("service.quarantined"),
@@ -51,17 +53,19 @@ JobLedger::JobLedger(std::size_t max_entries)
 
 JobLedger::Claim
 JobLedger::claim(const JobKey &key, std::uint64_t shots,
-                 ResultCache &cache, std::uint64_t owner,
-                 std::uint64_t *primary_owner)
+                 std::uint64_t owner, std::uint64_t *primary_owner)
 {
     std::lock_guard<std::mutex> lock(mutex_);
     auto it = entries_.find(key);
     if (it != entries_.end()) {
         lru_.splice(lru_.begin(), lru_, it->second.lruIt);
-        cache.creditHit(shots);
         ++stats_.dedupeHits;
-        if (telemetry::metricsEnabled())
-            LedgerMetrics::get().dedupeHits.add();
+        stats_.shotsSaved += shots;
+        if (telemetry::metricsEnabled()) {
+            auto &m = LedgerMetrics::get();
+            m.dedupeHits.add();
+            m.shotsSaved.add(shots);
+        }
         if (telemetry::tracingEnabled())
             telemetry::SpanTracer::instance().instant(
                 "dedupe-hit", jobStream(key));
@@ -74,12 +78,11 @@ JobLedger::claim(const JobKey &key, std::uint64_t shots,
     // tracked set never exceeds the cap; both the eviction point and
     // the victim depend only on the claimed key sequence. An evicted
     // in-flight primary keeps running — its waiters hold shared
-    // futures — but its result is no longer stored.
+    // futures — but its result is no longer tracked.
     while (entries_.size() >= maxEntries_) {
         const JobKey victim = lru_.back();
         lru_.pop_back();
         entries_.erase(victim);
-        cache.erase(victim);
         ++stats_.evictions;
         if (telemetry::metricsEnabled())
             LedgerMetrics::get().evictions.add();
@@ -89,7 +92,6 @@ JobLedger::claim(const JobKey &key, std::uint64_t shots,
     lru_.push_front(key);
     entry.lruIt = lru_.begin();
     entries_.emplace(key, std::move(entry));
-    cache.creditMiss();
     ++stats_.claims;
     if (telemetry::metricsEnabled())
         LedgerMetrics::get().claims.add();
@@ -97,16 +99,6 @@ JobLedger::claim(const JobKey &key, std::uint64_t shots,
         telemetry::SpanTracer::instance().instant("claim",
                                                   jobStream(key));
     return {{}, std::move(publish)};
-}
-
-void
-JobLedger::store(const JobKey &key, const Pmf &result,
-                 ResultCache &cache)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (entries_.find(key) == entries_.end())
-        return; // evicted while in flight; waiters use the future
-    cache.insert(key, result);
 }
 
 std::future<Pmf>
@@ -121,7 +113,6 @@ JobLedger::deferToPrimary(Claim claim)
 Pmf
 JobLedger::executeAndPublish(
     Executor &backend, const CircuitJob &job, const JobKey &key,
-    ResultCache *cache,
     const std::shared_ptr<std::promise<Pmf>> &publish)
 {
     // Quarantine fast path: a poisoned key never reaches the
@@ -148,9 +139,9 @@ JobLedger::executeAndPublish(
         backend.tryExecuteJob(job.view(), jobStream(key));
     if (!result.ok()) {
         // Poison job: retries exhausted (or permanently invalid).
-        // Quarantine the key, retract its entry — shared-cache
-        // state stays untouched — and fail the primary's future so
-        // waiting duplicates see the same typed error.
+        // Quarantine the key, retract its entry and fail the
+        // primary's future so waiting duplicates see the same typed
+        // error.
         {
             std::lock_guard<std::mutex> lock(mutex_);
             if (quarantine_.insert(key).second)
@@ -172,8 +163,6 @@ JobLedger::executeAndPublish(
     }
     if (telemetry::metricsEnabled() && span.armed())
         LedgerMetrics::get().jobLatencyNs.record(span.elapsedNs());
-    if (cache)
-        store(key, *result, *cache);
     if (publish)
         publish->set_value(*result);
     if (telemetry::tracingEnabled())
@@ -225,6 +214,19 @@ JobLedger::stats() const
     return stats_;
 }
 
+CacheStats
+JobLedger::cacheStats() const
+{
+    const JobLedgerStats s = stats();
+    CacheStats out;
+    out.hits = s.dedupeHits;
+    out.misses = s.claims;
+    out.evictions = s.evictions;
+    out.circuitsSaved = s.dedupeHits;
+    out.shotsSaved = s.shotsSaved;
+    return out;
+}
+
 void
 JobLedger::dropEntryLocked(const JobKey &key)
 {
@@ -236,12 +238,11 @@ JobLedger::dropEntryLocked(const JobKey &key)
 }
 
 void
-JobLedger::clear(ResultCache &cache)
+JobLedger::clear()
 {
     std::lock_guard<std::mutex> lock(mutex_);
     entries_.clear();
     lru_.clear();
-    cache.clear();
 }
 
 std::size_t

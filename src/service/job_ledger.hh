@@ -1,31 +1,30 @@
 /**
  * @file
- * Submission-order-deterministic dedupe ledger over a ResultCache.
+ * The dedupe ledger: the execution service's one result store.
  *
- * The integrated cache path shared by BatchExecutor and the
- * ExecutionService sessions: each submitted job key is claimed here
- * BEFORE execution, in submission order, under one lock. The first
- * claim of a key becomes its **primary** (the submission that
- * executes and publishes); every later claim while the key is
- * tracked is a **duplicate** answered from the primary's shared
- * future. Tracked keys form an LRU list maintained at claim time —
- * a point that depends only on the submitted key sequence, never on
- * worker timing — so when the ledger reaches its entry cap it
- * evicts exactly the least-recently-claimed key instead of bulk
- * clearing everything: hot keys (a VQA loop's per-iteration
- * working set) survive the boundary, and which keys are resident is
- * reproducible across thread counts for a given submission
- * sequence.
+ * Every submitted job key is claimed here BEFORE execution, in
+ * submission order, under one lock. The first claim of a key becomes
+ * its **primary** (the submission that executes and publishes);
+ * every later claim while the key is tracked is a **duplicate**
+ * answered from the primary's shared future. That shared future is
+ * the stored result — there is no second copy — so the ledger is
+ * the only store and the only LRU.
+ *
+ * Tracked keys form an LRU list maintained at claim time — a point
+ * that depends only on the submitted key sequence, never on worker
+ * timing — so when the ledger reaches its entry cap it evicts
+ * exactly the least-recently-claimed key: hot keys (a VQA loop's
+ * per-iteration working set) survive the boundary, and which keys
+ * are resident is reproducible across thread counts for a given
+ * submission sequence.
  *
  * Because sampling streams are content-derived (see jobStream), an
  * evicted key's re-execution reproduces the evicted result bit for
- * bit; eviction therefore trades only work, never results. The old
- * epoch counter that guarded cross-clear races is gone with the
- * bulk clear that needed it.
+ * bit; eviction therefore trades only work, never results.
  */
 
-#ifndef VARSAW_RUNTIME_JOB_LEDGER_HH
-#define VARSAW_RUNTIME_JOB_LEDGER_HH
+#ifndef VARSAW_SERVICE_JOB_LEDGER_HH
+#define VARSAW_SERVICE_JOB_LEDGER_HH
 
 #include <cstdint>
 #include <future>
@@ -35,7 +34,7 @@
 #include <unordered_map>
 #include <unordered_set>
 
-#include "runtime/result_cache.hh"
+#include "sim/circuit_hash.hh"
 #include "sim/job.hh"
 #include "util/pmf.hh"
 #include "util/status.hh"
@@ -53,6 +52,9 @@ struct JobLedgerStats
     /** Duplicate claims answered from a primary's future. */
     std::uint64_t dedupeHits = 0;
 
+    /** Shots avoided across all duplicate claims. */
+    std::uint64_t shotsSaved = 0;
+
     /** Keys evicted past the entry cap (claim-time LRU). */
     std::uint64_t evictions = 0;
 
@@ -66,14 +68,40 @@ struct JobLedgerStats
     std::uint64_t abandoned = 0;
 };
 
-/** Dedupe decision + LRU bookkeeping for cached execution paths. */
+/**
+ * Hit/miss and avoided-cost accounting of a dedupe scope (the
+ * service-wide ledger, or one session's share of it).
+ */
+struct CacheStats
+{
+    std::uint64_t hits = 0;
+    std::uint64_t misses = 0;
+    std::uint64_t evictions = 0;
+
+    /** Circuit executions avoided (== hits). */
+    std::uint64_t circuitsSaved = 0;
+
+    /** Shots avoided across all hits. */
+    std::uint64_t shotsSaved = 0;
+
+    /** hits / (hits + misses); 0 when no lookups happened. */
+    double hitRate() const
+    {
+        const std::uint64_t total = hits + misses;
+        return total == 0
+            ? 0.0
+            : static_cast<double>(hits) / static_cast<double>(total);
+    }
+};
+
+/** Dedupe decision, result store and LRU of the execution service. */
 class JobLedger
 {
   public:
     /**
      * @param max_entries Tracked-key cap; claiming past it evicts
-     *                    the least-recently-claimed key (and its
-     *                    cached result) one at a time.
+     *                    the least-recently-claimed key one at a
+     *                    time.
      */
     explicit JobLedger(std::size_t max_entries);
 
@@ -85,7 +113,7 @@ class JobLedger
         std::shared_future<Pmf> primary;
 
         /** Set iff this submission is the key's primary: execute the
-         * job, publish() the result here, and store() it. */
+         * job and publish the result here. */
         std::shared_ptr<std::promise<Pmf>> publish;
 
         bool duplicate() const { return primary.valid(); }
@@ -93,60 +121,41 @@ class JobLedger
 
     /**
      * Claim @p key in submission order: touch it in the LRU, decide
-     * primary vs duplicate, and evict past the cap (evicted keys are
-     * dropped from @p cache too, keeping store and ledger in
-     * lockstep). Hit/miss statistics are credited to @p cache
-     * (@p shots is the submission's shot count, for the saved-cost
-     * accounting).
+     * primary vs duplicate, and evict past the cap. A duplicate
+     * credits one hit and @p shots (the submission's shot count) to
+     * the saved-cost statistics; a primary credits one miss.
      *
      * @p owner tags a new primary with the claiming party (a
-     * service session id; private runtimes pass 0). On a duplicate,
-     * @p primary_owner (when non-null) receives the primary's tag —
-     * how the service counts cross-session hits.
+     * session id). On a duplicate, @p primary_owner (when non-null)
+     * receives the primary's tag — how the service counts
+     * cross-session hits.
      */
     Claim claim(const JobKey &key, std::uint64_t shots,
-                ResultCache &cache, std::uint64_t owner = 0,
+                std::uint64_t owner = 0,
                 std::uint64_t *primary_owner = nullptr);
-
-    /**
-     * Record the primary's computed result: inserted into @p cache
-     * unless the key was evicted while the primary was in flight
-     * (waiting duplicates still resolve through the shared future
-     * either way).
-     */
-    void store(const JobKey &key, const Pmf &result,
-               ResultCache &cache);
 
     /**
      * The future a duplicate submission returns: a deferred wait on
      * its primary's shared future, executed on the CONSUMER's
-     * thread at get() time — no pool worker ever blocks on another
-     * task. The one definition of the deferral policy, shared by
-     * BatchExecutor and the service sessions.
+     * thread at get() time — no worker ever blocks on another task.
      */
     static std::future<Pmf> deferToPrimary(Claim claim);
 
     /**
      * Execute a submission on @p backend with stream jobStream(key)
-     * and run the primary-side bookkeeping in its one canonical
-     * order: execute, store into the ledger/@p cache (when @p cache
-     * is non-null — pass null on cache-off paths, which never
-     * claimed), resolve @p publish (when non-null), return the
-     * result. Shared by BatchExecutor and the service sessions so
-     * dedupe semantics cannot drift between them.
+     * and resolve @p publish (when non-null — cache-off submissions
+     * never claimed) with the result, then return it.
      *
      * Fault tolerance: execution goes through
      * Executor::tryExecuteJob (deadline + bounded retry). A
      * quarantined key fails fast with FailedPrecondition before
      * touching the backend. When every attempt fails, the key is
-     * quarantined, its ledger entry is dropped (shared-cache state
-     * is untouched), the failure is published to @p publish (so
-     * waiting duplicates see the same StatusError), and a
-     * StatusError is thrown to the caller.
+     * quarantined, its ledger entry is dropped, the failure is
+     * published to @p publish (so waiting duplicates see the same
+     * StatusError), and a StatusError is thrown to the caller.
      */
     Pmf executeAndPublish(
         Executor &backend, const CircuitJob &job, const JobKey &key,
-        ResultCache *cache,
         const std::shared_ptr<std::promise<Pmf>> &publish);
 
     /**
@@ -178,17 +187,19 @@ class JobLedger
     /** Snapshot of the bookkeeping counters. */
     JobLedgerStats stats() const;
 
+    /** The hit/miss view of stats(). */
+    CacheStats cacheStats() const;
+
     /**
-     * Drop every tracked key (and the matching @p cache entries).
-     * Safe at any time, including with primaries in flight:
-     * duplicates already deferred keep their shared futures, and a
-     * cleared in-flight primary simply skips its store(). Because
-     * results are pure functions of job content, clearing can only
-     * cost re-execution, never change a result — use it to release
-     * memory or to isolate measurement phases that must not share
-     * work (e.g. comparing methods under a circuit budget).
+     * Drop every tracked key. Safe at any time, including with
+     * primaries in flight: duplicates already deferred keep their
+     * shared futures. Because results are pure functions of job
+     * content, clearing can only cost re-execution, never change a
+     * result — use it to release memory or to isolate measurement
+     * phases that must not share work (e.g. comparing methods under
+     * a circuit budget).
      */
-    void clear(ResultCache &cache);
+    void clear();
 
     /** Tracked-key cap. */
     std::size_t maxEntries() const { return maxEntries_; }
@@ -200,7 +211,7 @@ class JobLedger
     struct Entry
     {
         std::shared_future<Pmf> primary;
-        /** Claiming party of the primary (session id; 0 private). */
+        /** Claiming party of the primary (session id). */
         std::uint64_t owner = 0;
         /** Position in lru_ (spliced to the front on every claim). */
         std::list<JobKey>::iterator lruIt;
@@ -222,4 +233,4 @@ class JobLedger
 
 } // namespace varsaw
 
-#endif // VARSAW_RUNTIME_JOB_LEDGER_HH
+#endif // VARSAW_SERVICE_JOB_LEDGER_HH

@@ -1,5 +1,10 @@
 #include "service/scheduler.hh"
 
+#include <algorithm>
+#include <unordered_map>
+
+#include "sim/circuit_hash.hh"
+#include "sim/sim_engine.hh"
 #include "telemetry/metrics.hh"
 #include "telemetry/profiler.hh"
 #include "telemetry/trace.hh"
@@ -42,6 +47,77 @@ struct SchedulerMetrics
 };
 
 } // namespace
+
+std::vector<std::vector<std::size_t>>
+groupByPrepKey(const std::vector<PrepKey> &keys)
+{
+    std::vector<std::vector<std::size_t>> groups;
+    std::unordered_map<PrepKey, std::size_t, PrepKeyHasher> group_of;
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+        auto [it, inserted] =
+            group_of.try_emplace(keys[i], groups.size());
+        if (inserted)
+            groups.emplace_back();
+        groups[it->second].push_back(i);
+    }
+    return groups;
+}
+
+std::vector<PrepKey>
+prepKeysOf(const std::vector<CircuitJob> &jobs)
+{
+    std::vector<PrepKey> keys;
+    keys.reserve(jobs.size());
+    // The prep structural hash is memoized per distinct shared prep
+    // — safe to key by pointer because the jobs' shared_ptrs keep
+    // every prep alive for the whole loop.
+    std::unordered_map<const Circuit *, std::uint64_t> prep_hash;
+    for (const CircuitJob &job : jobs) {
+        if (job.prep) {
+            auto [it, inserted] =
+                prep_hash.try_emplace(job.prep.get(), 0);
+            if (inserted)
+                it->second = circuitPrefixHash(
+                    *job.prep,
+                    splitPrepSuffix(*job.prep).prefixOps);
+            keys.push_back(
+                PrepKey{it->second, parameterHash(job.params)});
+        } else {
+            keys.push_back(
+                prepKeyOf(nullptr, job.circuit, job.params));
+        }
+    }
+    return keys;
+}
+
+std::vector<std::vector<std::size_t>>
+prefixScheduleIndexChunks(const std::vector<PrepKey> &keys,
+                          std::size_t threads)
+{
+    // Group indices by full prep key (digest collisions cannot
+    // merge distinct preps), preserving first-appearance order of
+    // the groups and submission order within each group.
+    const auto groups = groupByPrepKey(keys);
+
+    std::vector<std::vector<std::size_t>> chunks;
+    const std::size_t per_group_chunks =
+        groups.empty() || groups.size() >= threads
+            ? 1
+            : (threads + groups.size() - 1) / groups.size();
+    for (const auto &group : groups) {
+        const std::size_t chunk_size = std::max<std::size_t>(
+            1, (group.size() + per_group_chunks - 1) /
+                   per_group_chunks);
+        for (std::size_t begin = 0; begin < group.size();
+             begin += chunk_size) {
+            const std::size_t end =
+                std::min(group.size(), begin + chunk_size);
+            chunks.emplace_back(group.begin() + begin,
+                                group.begin() + end);
+        }
+    }
+    return chunks;
+}
 
 ServiceScheduler::ServiceScheduler(int threads,
                                    std::size_t max_queue_depth)

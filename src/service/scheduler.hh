@@ -20,6 +20,10 @@
  *    "batchThreads x kernelThreads <= cores" sizing rule: the
  *    service's workers ARE the process's thread supply.
  *
+ * Placement: prefixScheduleIndexChunks() groups a batch's jobs by
+ * shared state preparation so that one prep's jobs run on one
+ * worker (see below).
+ *
  * Determinism: the scheduler only decides WHERE and WHEN work runs.
  * Batch results are pure functions of job content (content-derived
  * streams), kernel chunk decomposition is fixed (util/parallel.hh),
@@ -52,9 +56,49 @@
 #include <thread>
 #include <vector>
 
+#include "sim/job.hh"
+#include "sim/state_cache.hh"
 #include "telemetry/metrics.hh"
 
 namespace varsaw {
+
+/**
+ * Partition indices [0, keys.size()) into scheduler groups of equal
+ * prep identity, preserving first-appearance order of the groups
+ * and index order within each group. Groups compare **full**
+ * PrepKeys, never their 64-bit combined() digest: two distinct
+ * preps whose digests collide share at most a hash bucket — they
+ * can never be merged into (or corrupt) one group, and equal keys
+ * always serialize into the same group. Exposed for tests.
+ */
+std::vector<std::vector<std::size_t>>
+groupByPrepKey(const std::vector<PrepKey> &keys);
+
+/**
+ * Grouping keys for prefix-aware placement: one PrepKey per job of
+ * @p jobs, memoizing the prep structural hash per distinct shared
+ * prep circuit.
+ */
+std::vector<PrepKey>
+prepKeysOf(const std::vector<CircuitJob> &jobs);
+
+/**
+ * Prefix-aware placement: partition the submission-ordered jobs
+ * tagged by @p keys into sequential chunks, returned as indices
+ * into @p keys. With at least @p threads prep groups, one chunk per
+ * group — a prep's jobs stay on one worker: its first job populates
+ * the SimEngine's state cache and the rest hit it without
+ * contending with other threads. With fewer groups, each is split
+ * into enough contiguous chunks to keep every worker busy (the
+ * engine tolerates the resulting cross-thread sharing via its
+ * shared futures and still prepares each key exactly once). Chunk
+ * composition is a pure function of (keys, threads); purely a
+ * placement policy — results and streams are assigned at
+ * submission and cannot change.
+ */
+std::vector<std::vector<std::size_t>>
+prefixScheduleIndexChunks(const std::vector<PrepKey> &keys,
+                          std::size_t threads);
 
 /** Fair multi-queue worker pool with kernel-assist (see file doc). */
 class ServiceScheduler

@@ -8,9 +8,9 @@
  * shot noise or any optimizer step this stack takes, so only
  * physically indistinguishable angles collide), and the shot
  * count. Two submissions
- * with equal keys are redundant work: the ResultCache answers the
- * later one with the earlier one's sampled result instead of
- * re-executing.
+ * with equal keys are redundant work: the service's JobLedger
+ * answers the later one with the earlier one's sampled result
+ * instead of re-executing.
  *
  * Keys are compared by (circuitHash, paramsHash, shots) without
  * re-checking the underlying job, so an accidental collision would
@@ -95,8 +95,8 @@ JobKey makeJobKey(const CircuitJob &job);
 
 /**
  * Sampling-stream id of a job: a pure function of its content key.
- * Every execution path that samples a job — a private BatchExecutor,
- * a shared ExecutionService session, a cache-off re-execution —
+ * Every execution path that samples a job — an inline session, a
+ * shared ExecutionService session, a cache-off re-execution —
  * derives the job's RNG stream from this value, so a given
  * (backend seed, circuit, params, shots) submission draws the SAME
  * shots no matter when, where, or how often it runs. This is what

@@ -1,11 +1,11 @@
 /**
  * @file
- * Units of work shared by the executors and the batched runtime.
+ * Units of work shared by the executors and the execution service.
  *
  * A CircuitJob is one (circuit, parameters, shots) submission; a
  * Batch is the ordered set of jobs one estimator tick produces.
- * Estimators build a Batch per objective evaluation and hand it to
- * BatchExecutor instead of looping over Executor::execute(). A
+ * Estimators build a Batch per objective evaluation and submit it
+ * through a Session instead of looping over Executor::execute(). A
  * JobView is the non-owning shape of the same submission: backends
  * consume views, so the legacy serial execute() path can describe a
  * caller's circuit without deep-copying it into a transient job.
@@ -19,10 +19,10 @@
  *    are submitted without cloning the ansatz N times, and how the
  *    SimEngine recognizes that they share one prepared state.
  *
- * This header lives in sim/ (not runtime/) on purpose: jobs and
+ * This header lives in sim/ (not service/) on purpose: jobs and
  * their content hashes are the vocabulary shared by sim/,
- * mitigation/, and runtime/, and the lower layers must build
- * without the runtime.
+ * mitigation/, and service/, and the lower layers must build
+ * without the service.
  */
 
 #ifndef VARSAW_SIM_JOB_HH

@@ -11,7 +11,7 @@
 
 // The prep-identity hashes deliberately reuse the shared content
 // hashing (structural circuit hash + quantized parameter hash) so
-// that the engine's prep keys, the ResultCache's job keys, and the
+// that the engine's prep keys, the JobLedger's job keys, and the
 // batch scheduler's grouping keys all agree on what "the same
 // computation" means.
 #include "fault/fault_injector.hh"

@@ -443,6 +443,12 @@ removeKernelAssistHost(int handle)
                           std::memory_order_release);
 }
 
+int
+kernelAssistHostCount()
+{
+    return assistHostCount.load(std::memory_order_acquire);
+}
+
 } // namespace detail
 
 } // namespace varsaw

@@ -2,7 +2,7 @@
  * @file
  * Deterministic intra-kernel parallelism primitives.
  *
- * The batch runtime (src/runtime/) parallelizes *across* jobs; this
+ * The execution service (src/service/) parallelizes *across* jobs; this
  * layer parallelizes *inside* one dense kernel — a single 2^n-amplitude
  * sweep — without ever changing results:
  *
@@ -31,14 +31,12 @@
  * (the pool is shared by every Statevector/DensityMatrix in the
  * process), defaulting to the VARSAW_KERNEL_THREADS environment
  * variable when set to a positive integer, else 1 (serial).
- * `SimEngineConfig::kernelThreads` / `RuntimeConfig::kernelThreads`
- * and the drivers' `--kernel-threads` flag plumb into
- * `setKernelThreads()`. Guidance: keep
- * batchThreads * kernelThreads <= cores — the pool holds at most
- * `kernelThreads() - 1` helpers and each invocation admits at most
- * that many, so concurrent batch workers share (not multiply) the
- * helper budget, but the two pools still compete for the same
- * cores.
+ * `SimEngineConfig::kernelThreads` and the drivers'
+ * `--kernel-threads` flag plumb into `setKernelThreads()`, which
+ * caps how many helpers one invocation admits. While an execution
+ * service scheduler is alive its idle workers are the helpers (see
+ * addKernelAssistHost), so batch and kernel work share one set of
+ * threads.
  */
 
 #ifndef VARSAW_UTIL_PARALLEL_HH
@@ -204,6 +202,9 @@ int addKernelAssistHost(std::function<void()> wake);
  * (safe to destroy the scheduler it points into).
  */
 void removeKernelAssistHost(int handle);
+
+/** Currently registered helper hosts (one per live scheduler). */
+int kernelAssistHostCount();
 
 } // namespace detail
 

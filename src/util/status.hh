@@ -2,7 +2,7 @@
  * @file
  * The structured error taxonomy of the execution stack.
  *
- * Before this header, runtime/ and service/ had exactly two failure
+ * Before this header, the execution layers had exactly two failure
  * modes: panic (abort the process) and silence. Neither survives a
  * flaky backend. Status gives execution paths a third option — a
  * typed, inspectable error that travels through StatusOr returns,
@@ -30,8 +30,8 @@
  *
  * Invariant violations (programming bugs) still panic — Status is
  * for DATA-dependent and ENVIRONMENT-dependent failures only. The
- * varsaw-lint `status-taxonomy` rule enforces that src/runtime/ and
- * src/service/ throw nothing but StatusError.
+ * varsaw-lint `status-taxonomy` rule enforces that src/service/
+ * throws nothing but StatusError.
  */
 
 #ifndef VARSAW_UTIL_STATUS_HH
@@ -169,7 +169,7 @@ internalError(std::string message)
 
 /**
  * The exception form of a non-ok Status — the ONE exception type
- * execution paths in runtime/ and service/ are allowed to throw
+ * execution paths in service/ are allowed to throw
  * (enforced by the `status-taxonomy` lint rule). Futures carry it
  * to consumers via promise::set_exception / packaged_task.
  */

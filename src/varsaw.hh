@@ -41,15 +41,9 @@
 #include "noise/device_model.hh"
 #include "noise/readout_error.hh"
 
-// Execution runtime
-#include "runtime/batch_executor.hh"
-#include "runtime/job_ledger.hh"
-#include "runtime/result_cache.hh"
-#include "runtime/submitter.hh"
-#include "runtime/thread_pool.hh"
-
-// Shared execution service
+// Execution service
 #include "service/execution_service.hh"
+#include "service/job_ledger.hh"
 #include "service/scheduler.hh"
 
 // Mitigation substrate

@@ -28,8 +28,7 @@
 #include "mitigation/jigsaw.hh"
 #include "pauli/commutation.hh"
 #include "pauli/hamiltonian.hh"
-#include "runtime/batch_executor.hh"
-#include "runtime/submitter.hh"
+#include "service/execution_service.hh"
 #include "sim/circuit.hh"
 
 namespace varsaw {
@@ -134,16 +133,16 @@ class BaselineEstimator : public EnergyEstimator
         return basisShots_;
     }
 
-    /** The submitter (private runtime or shared-service session)
+    /** The session (private or on a shared service)
      * circuits are submitted through. */
-    JobSubmitter &runtime() { return *runtime_; }
-    const JobSubmitter &runtime() const { return *runtime_; }
+    Session &runtime() { return *runtime_; }
+    const Session &runtime() const { return *runtime_; }
 
   private:
     const Hamiltonian &hamiltonian_;
     /** Construction-time ansatz snapshot, shared by every job. */
     std::shared_ptr<const Circuit> prep_;
-    std::unique_ptr<JobSubmitter> runtime_;
+    std::unique_ptr<Session> runtime_;
     std::uint64_t shots_;
     BasisReduction reduction_;
     /** Per-basis measurement suffixes (fixed across evaluations). */
@@ -181,16 +180,16 @@ class JigsawEstimator : public EnergyEstimator
     /** The cover-reduced measurement bases in use. */
     const BasisReduction &reduction() const { return reduction_; }
 
-    /** The submitter (private runtime or shared-service session)
+    /** The session (private or on a shared service)
      * circuits are submitted through. */
-    JobSubmitter &runtime() { return *runtime_; }
-    const JobSubmitter &runtime() const { return *runtime_; }
+    Session &runtime() { return *runtime_; }
+    const Session &runtime() const { return *runtime_; }
 
   private:
     const Hamiltonian &hamiltonian_;
     /** Construction-time ansatz snapshot, shared by every job. */
     std::shared_ptr<const Circuit> prep_;
-    std::unique_ptr<JobSubmitter> runtime_;
+    std::unique_ptr<Session> runtime_;
     JigsawConfig config_;
     BasisReduction reduction_;
     /** Per-basis suffix sets (windows + CPM/Global suffixes). */

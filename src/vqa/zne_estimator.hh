@@ -21,8 +21,7 @@
 #include "mitigation/zne.hh"
 #include "pauli/commutation.hh"
 #include "pauli/hamiltonian.hh"
-#include "runtime/batch_executor.hh"
-#include "runtime/submitter.hh"
+#include "service/execution_service.hh"
 #include "vqa/estimator.hh"
 
 namespace varsaw {
@@ -58,15 +57,15 @@ class ZneEstimator : public EnergyEstimator
     /** The cover-reduced measurement bases in use. */
     const BasisReduction &reduction() const { return reduction_; }
 
-    /** The submitter (private runtime or shared-service session)
+    /** The session (private or on a shared service)
      * circuits are submitted through. */
-    JobSubmitter &runtime() { return *runtime_; }
-    const JobSubmitter &runtime() const { return *runtime_; }
+    Session &runtime() { return *runtime_; }
+    const Session &runtime() const { return *runtime_; }
 
   private:
     const Hamiltonian &hamiltonian_;
     const Circuit &ansatz_;
-    std::unique_ptr<JobSubmitter> runtime_;
+    std::unique_ptr<Session> runtime_;
     std::uint64_t shots_;
     std::vector<int> factors_;
     BasisReduction reduction_;

@@ -21,7 +21,7 @@
 #include "core/varsaw.hh"
 #include "mitigation/executor.hh"
 #include "noise/device_model.hh"
-#include "runtime/batch_executor.hh"
+#include "service/execution_service.hh"
 #include "sim/kernels/kernels.hh"
 #include "util/parallel.hh"
 #include "vqa/ansatz.hh"
@@ -181,12 +181,12 @@ TEST(PrefixDeterminism, KernelThreadsNeverChangeResults)
         exec.simEngine().setCacheEnabled(cache);
         RuntimeConfig rc;
         rc.threads = batch_threads;
-        BatchExecutor runtime(exec, rc);
+        auto runtime = makeSubmitter(exec, rc);
         Batch batch;
         for (const auto &suffix : suffixes)
             batch.addPrefixed(prep, suffix, params, 64);
         std::vector<double> flat;
-        for (const auto &pmf : runtime.run(batch))
+        for (const auto &pmf : runtime->run(batch))
             for (std::uint64_t o = 0; o < 8; ++o)
                 flat.push_back(pmf.prob(o));
         return flat;

@@ -1,7 +1,8 @@
-// FAIL fixture [layering]: sim/ must build without runtime/ (PR 3
-// contract) and nothing below service/ may include service/.
-#include "runtime/batch_executor.hh"
+// FAIL fixture [layering]: sim/ must build without service/ (the
+// execution layer sits above sim and mitigation) — neither the
+// service nor its ledger may be included from below.
 #include "service/execution_service.hh"
+#include "service/job_ledger.hh"
 #include "util/parallel.hh" // allowed — not a finding
 
 namespace fixture {

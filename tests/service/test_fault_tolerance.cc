@@ -27,7 +27,6 @@
 #include "core/selective.hh"
 #include "core/varsaw.hh"
 #include "fault/fault_injector.hh"
-#include "runtime/batch_executor.hh"
 #include "service/execution_service.hh"
 #include "sim/circuit.hh"
 #include "sim/circuit_hash.hh"
@@ -128,8 +127,8 @@ idealReference(const Batch &batch)
     IdealExecutor exec(3);
     RuntimeConfig rc;
     rc.threads = 1;
-    BatchExecutor runtime(exec, rc);
-    return runtime.run(batch);
+    auto runtime = makeSubmitter(exec, rc);
+    return runtime->run(batch);
 }
 
 TEST(FaultTolerance, ZeroRatePlanIsBitIdenticalAndInjectionFree)
@@ -168,8 +167,8 @@ TEST(FaultTolerance, TransientFaultsRetryToBitIdenticalResults)
         RuntimeConfig rc;
         rc.threads = 1;
         rc.cacheResults = true; // dedupe like the service does
-        BatchExecutor runtime(exec, rc);
-        (void)runtime.run(batch);
+        auto runtime = makeSubmitter(exec, rc);
+        (void)runtime->run(batch);
         return exec.circuitsExecuted();
     }();
 
@@ -549,9 +548,9 @@ TEST(FaultTolerance, ShutdownUnderLoadWithFaultsResolvesAllFutures)
         IdealExecutor exec(3);
         RuntimeConfig rc;
         rc.threads = 1;
-        BatchExecutor runtime(exec, rc);
+        auto runtime = makeSubmitter(exec, rc);
         for (int i = 0; i < kThreads * kBatchesPerThread; ++i)
-            refs[static_cast<std::size_t>(i)] = runtime.run(
+            refs[static_cast<std::size_t>(i)] = runtime->run(
                 w.batch(300 + static_cast<std::uint64_t>(i)));
     }
 

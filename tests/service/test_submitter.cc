@@ -1,18 +1,25 @@
 /**
  * @file
- * Tests for the batched parallel execution runtime: submission-order
- * determinism across thread counts, futures plumbing, cost
- * accounting, and estimator integration.
+ * Tests for makeSubmitter() sessions: the inline one-thread path,
+ * submission-order determinism across thread counts, futures
+ * plumbing, cost accounting, prefix-aware placement, and estimator
+ * integration.
  */
 
 #include <gtest/gtest.h>
+
+#include <filesystem>
+#include <mutex>
+#include <thread>
+#include <vector>
 
 #include "chem/spin_models.hh"
 #include "core/varsaw.hh"
 #include "mitigation/jigsaw.hh"
 #include "noise/device_model.hh"
 #include "pauli/subsetting.hh"
-#include "runtime/batch_executor.hh"
+#include "service/execution_service.hh"
+#include "util/parallel.hh"
 #include "vqa/ansatz.hh"
 #include "vqa/estimator.hh"
 #include "../util/pmf_equality.hh"
@@ -39,7 +46,93 @@ tfimWorkload(const Hamiltonian &h, const Circuit &ansatz,
     return batch;
 }
 
-TEST(BatchExecutor, ParallelBitIdenticalToSerialOnTfim)
+/** IdealExecutor that records the thread every job executes on. */
+class ThreadRecordingExecutor : public IdealExecutor
+{
+  public:
+    using IdealExecutor::IdealExecutor;
+
+    std::vector<std::thread::id> threads() const
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        return threads_;
+    }
+
+  protected:
+    Pmf executeImpl(const JobView &job, Rng &rng) override
+    {
+        {
+            std::lock_guard<std::mutex> lock(mutex_);
+            threads_.push_back(std::this_thread::get_id());
+        }
+        return IdealExecutor::executeImpl(job, rng);
+    }
+
+  private:
+    mutable std::mutex mutex_;
+    std::vector<std::thread::id> threads_;
+};
+
+/** Live threads of this process (/proc/self/task entries on Linux;
+ * -1 where that is unavailable, which makes the check vacuous). */
+long
+processThreadCount()
+{
+#if defined(__linux__)
+    long n = 0;
+    for (const auto &entry :
+         std::filesystem::directory_iterator("/proc/self/task")) {
+        (void)entry;
+        ++n;
+    }
+    return n;
+#else
+    return -1;
+#endif
+}
+
+TEST(Submitter, OneThreadRunsInlineOnTheCallingThread)
+{
+    // threads == 1: the private service has no scheduler. Every
+    // primary executes on the submitting thread before submit()
+    // returns, and building and using the submitter starts no
+    // thread and registers no kernel-assist host.
+    const long threads_before = processThreadCount();
+    const int hosts_before = detail::kernelAssistHostCount();
+
+    ThreadRecordingExecutor exec(5);
+    RuntimeConfig config; // threads = 1
+    config.cacheResults = true;
+    auto session = makeSubmitter(exec, config);
+    EXPECT_EQ(detail::kernelAssistHostCount(), hosts_before);
+    EXPECT_EQ(session->service().threadCount(), 1);
+
+    Batch batch;
+    for (int rep = 0; rep < 2; ++rep) {
+        for (int q = 0; q < 3; ++q) {
+            Circuit c(3);
+            c.x(q).h(q).measureAll();
+            batch.add(c, {}, 128);
+        }
+    }
+    auto futures = session->submit(batch);
+    // Already executed: three primaries, three deduped repeats.
+    EXPECT_EQ(exec.circuitsExecuted(), 3u);
+    for (auto &future : futures)
+        future.get();
+
+    const auto ids = exec.threads();
+    ASSERT_EQ(ids.size(), 3u);
+    for (const auto &id : ids)
+        EXPECT_EQ(id, std::this_thread::get_id());
+    EXPECT_EQ(session->stats().inlineJobs, 3u);
+    EXPECT_EQ(session->stats().cacheHits, 3u);
+    EXPECT_EQ(session->service().stats().chunksExecuted, 0u);
+    EXPECT_EQ(processThreadCount(), threads_before);
+    EXPECT_EQ(detail::kernelAssistHostCount(), hosts_before);
+}
+
+TEST(Submitter, ParallelBitIdenticalToSerialOnTfim)
 {
     const Hamiltonian h = tfim(4, 1.0, 0.7);
     EfficientSU2 ansatz(AnsatzConfig{4, 2, Entanglement::Linear});
@@ -50,21 +143,22 @@ TEST(BatchExecutor, ParallelBitIdenticalToSerialOnTfim)
 
     NoisyExecutor serial_exec(
         device, GateNoiseMode::AnalyticDepolarizing, 7);
-    BatchExecutor serial(serial_exec, RuntimeConfig{1, false, 64});
-    const auto serial_results = serial.run(batch);
+    auto serial =
+        makeSubmitter(serial_exec, RuntimeConfig{1, false, 64});
+    const auto serial_results = serial->run(batch);
 
     NoisyExecutor parallel_exec(
         device, GateNoiseMode::AnalyticDepolarizing, 7);
-    BatchExecutor parallel(parallel_exec,
-                           RuntimeConfig{4, false, 64});
-    const auto parallel_results = parallel.run(batch);
+    auto parallel =
+        makeSubmitter(parallel_exec, RuntimeConfig{4, false, 64});
+    const auto parallel_results = parallel->run(batch);
 
     ASSERT_EQ(serial_results.size(), parallel_results.size());
     for (std::size_t i = 0; i < serial_results.size(); ++i)
         expectBitIdentical(serial_results[i], parallel_results[i]);
 }
 
-TEST(BatchExecutor, TrajectoryNoiseAlsoDeterministic)
+TEST(Submitter, TrajectoryNoiseAlsoDeterministic)
 {
     // The trajectory sampler consumes far more RNG than plain shot
     // sampling; it must be equally order-independent.
@@ -77,19 +171,19 @@ TEST(BatchExecutor, TrajectoryNoiseAlsoDeterministic)
 
     NoisyExecutor a(device, GateNoiseMode::PauliTrajectories, 9, 8);
     NoisyExecutor b(device, GateNoiseMode::PauliTrajectories, 9, 8);
-    BatchExecutor serial(a, RuntimeConfig{1, false, 64});
-    BatchExecutor parallel(b, RuntimeConfig{4, false, 64});
+    auto serial = makeSubmitter(a, RuntimeConfig{1, false, 64});
+    auto parallel = makeSubmitter(b, RuntimeConfig{4, false, 64});
 
-    const auto ra = serial.run(batch);
-    const auto rb = parallel.run(batch);
+    const auto ra = serial->run(batch);
+    const auto rb = parallel->run(batch);
     for (std::size_t i = 0; i < ra.size(); ++i)
         expectBitIdentical(ra[i], rb[i]);
 }
 
-TEST(BatchExecutor, FuturesAlignWithJobIndices)
+TEST(Submitter, FuturesAlignWithJobIndices)
 {
     IdealExecutor exec(1);
-    BatchExecutor runtime(exec, RuntimeConfig{2, false, 64});
+    auto runtime = makeSubmitter(exec, RuntimeConfig{2, false, 64});
 
     // Distinguishable jobs: job i prepares |1> on qubit i of 3.
     Batch batch;
@@ -98,7 +192,7 @@ TEST(BatchExecutor, FuturesAlignWithJobIndices)
         c.x(q).measureAll();
         batch.add(c, {}, 0);
     }
-    auto futures = runtime.submit(batch);
+    auto futures = runtime->submit(batch);
     ASSERT_EQ(futures.size(), 3u);
     for (int q = 0; q < 3; ++q) {
         Pmf pmf = futures[static_cast<std::size_t>(q)].get();
@@ -106,54 +200,54 @@ TEST(BatchExecutor, FuturesAlignWithJobIndices)
     }
 }
 
-TEST(BatchExecutor, CountsCircuitsAndShotsExactly)
+TEST(Submitter, CountsCircuitsAndShotsExactly)
 {
     IdealExecutor exec(1);
-    BatchExecutor runtime(exec, RuntimeConfig{4, false, 64});
+    auto runtime = makeSubmitter(exec, RuntimeConfig{4, false, 64});
     Circuit c(2);
     c.h(0).cx(0, 1).measureAll();
 
     Batch batch;
     for (int i = 0; i < 64; ++i)
         batch.add(c, {}, 100 + static_cast<std::uint64_t>(i));
-    runtime.run(batch);
+    runtime->run(batch);
 
     EXPECT_EQ(exec.circuitsExecuted(), 64u);
     EXPECT_EQ(exec.shotsExecuted(), batch.totalShots());
-    EXPECT_EQ(runtime.jobsSubmitted(), 64u);
+    EXPECT_EQ(runtime->jobsSubmitted(), 64u);
 }
 
-TEST(BatchExecutor, EmptyBatchIsANoop)
+TEST(Submitter, EmptyBatchIsANoop)
 {
     IdealExecutor exec(1);
-    BatchExecutor runtime(exec);
-    EXPECT_TRUE(runtime.run(Batch{}).empty());
+    auto runtime = makeSubmitter(exec, RuntimeConfig{});
+    EXPECT_TRUE(runtime->run(Batch{}).empty());
     EXPECT_EQ(exec.circuitsExecuted(), 0u);
 }
 
-TEST(BatchExecutor, CacheDedupesIdenticalJobsWithinABatch)
+TEST(Submitter, CacheDedupesIdenticalJobsWithinABatch)
 {
     IdealExecutor exec(1);
     RuntimeConfig config;
     config.threads = 1;
     config.cacheResults = true;
-    BatchExecutor runtime(exec, config);
+    auto runtime = makeSubmitter(exec, config);
 
     Circuit c(2);
     c.h(0).cx(0, 1).measureAll();
     Batch batch;
     for (int i = 0; i < 10; ++i)
         batch.add(c, {}, 256);
-    const auto results = runtime.run(batch);
+    const auto results = runtime->run(batch);
 
     EXPECT_EQ(exec.circuitsExecuted(), 1u);
-    EXPECT_EQ(runtime.cacheStats().hits, 9u);
-    EXPECT_EQ(runtime.cacheStats().shotsSaved, 9u * 256u);
+    EXPECT_EQ(runtime->cacheStats().hits, 9u);
+    EXPECT_EQ(runtime->cacheStats().shotsSaved, 9u * 256u);
     for (std::size_t i = 1; i < results.size(); ++i)
         expectBitIdentical(results[0], results[i]);
 }
 
-TEST(BatchExecutor, CachedDuplicatesDeterministicUnderThreads)
+TEST(Submitter, CachedDuplicatesDeterministicUnderThreads)
 {
     // With the cache on, only the first submission of a key ever
     // executes — duplicates wait on its future — so results AND
@@ -169,21 +263,21 @@ TEST(BatchExecutor, CachedDuplicatesDeterministicUnderThreads)
     RuntimeConfig serial_config;
     serial_config.threads = 1;
     serial_config.cacheResults = true;
-    BatchExecutor serial(serial_exec, serial_config);
-    const auto serial_results = serial.run(batch);
+    auto serial = makeSubmitter(serial_exec, serial_config);
+    const auto serial_results = serial->run(batch);
 
     IdealExecutor parallel_exec(3);
     RuntimeConfig parallel_config;
     parallel_config.threads = 4;
     parallel_config.cacheResults = true;
-    BatchExecutor parallel(parallel_exec, parallel_config);
-    const auto parallel_results = parallel.run(batch);
+    auto parallel = makeSubmitter(parallel_exec, parallel_config);
+    const auto parallel_results = parallel->run(batch);
 
     for (std::size_t i = 0; i < parallel_results.size(); ++i)
         expectBitIdentical(serial_results[0], parallel_results[i]);
     EXPECT_EQ(serial_exec.circuitsExecuted(), 1u);
     EXPECT_EQ(parallel_exec.circuitsExecuted(), 1u);
-    EXPECT_EQ(parallel.cacheStats().hits, 31u);
+    EXPECT_EQ(parallel->cacheStats().hits, 31u);
 }
 
 TEST(PrefixScheduler, GroupsCompareFullKeysNotDigests)
@@ -213,9 +307,9 @@ TEST(PrefixScheduler, GroupsCompareFullKeysNotDigests)
 TEST(PrefixScheduler, MultiPrepBatchDeterministicAcrossPlacement)
 {
     // Several distinct preps (distinct group keys) in one batch:
-    // results must be bit-identical whether the prefix-aware
-    // scheduler places them or not, at any thread count, and each
-    // prep must still be simulated exactly once.
+    // results must be bit-identical however many service workers
+    // the prefix-aware scheduler places them across, and each prep
+    // must still be simulated exactly once.
     const int qubits = 4;
     const std::vector<PauliString> bases = {
         PauliString::parse("XYZX"), PauliString::parse("ZZXX"),
@@ -229,39 +323,40 @@ TEST(PrefixScheduler, MultiPrepBatchDeterministicAcrossPlacement)
             std::make_shared<const Circuit>(ansatz.circuit()));
         prep_params.push_back(ansatz.initialParameters(7));
     }
+    Batch batch;
+    for (std::size_t p = 0; p < preps.size(); ++p)
+        for (const auto &basis : bases)
+            batch.addPrefixed(preps[p], makeGlobalSuffix(basis),
+                              prep_params[p], 512);
 
-    auto run = [&](int threads, bool prefix_aware,
-                   std::uint64_t *prep_sims) {
+    // Inline reference: no placement at all.
+    IdealExecutor ref_exec(23);
+    const auto reference =
+        makeSubmitter(ref_exec, RuntimeConfig{})->run(batch);
+    EXPECT_EQ(ref_exec.simEngine().stats().prepSimulations,
+              preps.size());
+
+    // Placement really differs across the worker counts: one chunk
+    // per prep while preps >= workers, split groups beyond.
+    const auto keys = prepKeysOf(batch.jobs());
+    EXPECT_EQ(prefixScheduleIndexChunks(keys, 1).size(),
+              preps.size());
+    EXPECT_GT(prefixScheduleIndexChunks(keys, 4).size(),
+              preps.size());
+
+    for (int workers : {1, 2, 4}) {
         IdealExecutor exec(23);
-        RuntimeConfig config;
-        config.threads = threads;
-        config.prefixAwareScheduling = prefix_aware;
-        BatchExecutor runtime(exec, config);
-        Batch batch;
-        for (std::size_t p = 0; p < preps.size(); ++p)
-            for (const auto &basis : bases)
-                batch.addPrefixed(preps[p], makeGlobalSuffix(basis),
-                                  prep_params[p], 512);
-        const auto results = runtime.run(batch);
-        if (prep_sims)
-            *prep_sims =
-                exec.simEngine().stats().prepSimulations;
-        return results;
-    };
-
-    std::uint64_t serial_preps = 0;
-    const auto reference = run(1, true, &serial_preps);
-    EXPECT_EQ(serial_preps, preps.size());
-    for (int threads : {2, 4}) {
-        for (bool prefix_aware : {true, false}) {
-            std::uint64_t prep_sims = 0;
-            const auto got = run(threads, prefix_aware, &prep_sims);
-            EXPECT_EQ(prep_sims, preps.size())
-                << threads << "/" << prefix_aware;
-            ASSERT_EQ(got.size(), reference.size());
-            for (std::size_t i = 0; i < got.size(); ++i)
-                expectBitIdentical(reference[i], got[i]);
-        }
+        ServiceConfig sc;
+        sc.threads = workers;
+        sc.cacheResults = false;
+        ExecutionService service(exec, sc);
+        const auto got = service.createSession()->run(batch);
+        EXPECT_EQ(exec.simEngine().stats().prepSimulations,
+                  preps.size())
+            << workers;
+        ASSERT_EQ(got.size(), reference.size());
+        for (std::size_t i = 0; i < got.size(); ++i)
+            expectBitIdentical(reference[i], got[i]);
     }
 }
 

@@ -14,7 +14,7 @@
 #include "mitigation/executor.hh"
 #include "mitigation/jigsaw.hh"
 #include "noise/device_model.hh"
-#include "runtime/batch_executor.hh"
+#include "service/execution_service.hh"
 #include "sim/circuit_hash.hh"
 #include "sim/sim_engine.hh"
 #include "sim/state_cache.hh"
@@ -187,13 +187,13 @@ TEST(SimEngine, MultiBasisBatchPreparesOncePerThreadCount)
                            GateNoiseMode::AnalyticDepolarizing, 11);
         RuntimeConfig config;
         config.threads = threads;
-        BatchExecutor runtime(exec, config);
+        auto runtime = makeSubmitter(exec, config);
 
         Batch batch;
         for (const auto &basis : bases)
             batch.addPrefixed(prep, makeGlobalSuffix(basis), params,
                               1024);
-        runtime.run(batch);
+        runtime->run(batch);
 
         const SimEngineStats stats = exec.simEngine().stats();
         EXPECT_EQ(stats.prepSimulations, 1u)

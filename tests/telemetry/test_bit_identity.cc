@@ -6,7 +6,7 @@
  *
  * Runs the same fixed-seed TFIM workload three ways — telemetry off,
  * telemetry fully on (default ring), telemetry on with an 8-slot
- * ring — through both a private BatchExecutor and a shared
+ * ring — through both a private four-thread session and a shared
  * ExecutionService with two sessions, and requires exact (double
  * ==) equality of every PMF entry.
  */
@@ -21,7 +21,6 @@
 #include "mitigation/jigsaw.hh"
 #include "noise/device_model.hh"
 #include "pauli/subsetting.hh"
-#include "runtime/batch_executor.hh"
 #include "service/execution_service.hh"
 #include "telemetry/metrics.hh"
 #include "telemetry/trace.hh"
@@ -68,7 +67,7 @@ workload(const Hamiltonian &h, const Circuit &ansatz,
     return batch;
 }
 
-/** Run the workload through a private parallel BatchExecutor. */
+/** Run the workload through a private four-thread session. */
 std::vector<Pmf>
 runPrivate(const Batch &batch, const DeviceModel &device)
 {
@@ -77,8 +76,8 @@ runPrivate(const Batch &batch, const DeviceModel &device)
     RuntimeConfig config;
     config.threads = 4;
     config.cacheResults = true;
-    BatchExecutor runtime(exec, config);
-    return runtime.run(batch);
+    auto runtime = makeSubmitter(exec, config);
+    return runtime->run(batch);
 }
 
 /** Run the workload through two sessions of a shared service (the

@@ -12,7 +12,7 @@
  *   nondeterminism      rand()/random_device/wall-clock now() bans
  *   parallel-accumulate reductions must use the fixed-fold helpers
  *   unordered-iter      no iteration over unordered containers
- *   status-taxonomy     runtime/service throw only StatusError
+ *   status-taxonomy     service/ throws only StatusError
  *   atomics-order       no default-seq_cst atomic ops in hot paths
  *   metric-naming       registry names are dotted lowercase snake
  */
