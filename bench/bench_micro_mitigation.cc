@@ -3,15 +3,19 @@
  * Micro-benchmarks for the mitigation/planning hot paths that the
  * statevector-focused bench_micro_kernels no longer covers:
  * Bayesian reconstruction, commutation cover reduction, subset
- * reduction, spatial-plan construction, ansatz simulation, and
- * end-to-end noisy execution. Plain table bench (ops/sec per
- * case), CSV via util/csv.
+ * reduction, spatial-plan construction, ansatz simulation,
+ * end-to-end noisy execution, and shot sampling (Pmf::sample over
+ * full-support PMFs of 4 / 64 / 4096 / 65536 outcomes at 256 and
+ * 2048 shots, the sizes the paper workloads draw). Plain table
+ * bench (ops/sec and ns per call), CSV via util/csv.
  *
  * Knobs: VARSAW_BENCH_REPS (default 20 timing repetitions; the
- * fastest cases run 10x that), plus the standard --cache-bytes /
+ * sampling cases scale that up so each draws about the same number
+ * of shots plus support entries), plus the standard --cache-bytes /
  * --kernel-threads flags.
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <functional>
 #include <string>
@@ -24,6 +28,7 @@
 #include "noise/device_model.hh"
 #include "pauli/subsetting.hh"
 #include "sim/statevector.hh"
+#include "util/counts.hh"
 #include "util/csv.hh"
 #include "util/rng.hh"
 #include "vqa/ansatz.hh"
@@ -87,6 +92,26 @@ main(int argc, char **argv)
     noisy_circuit.append(noisy_ansatz.circuit());
     noisy_circuit.measureAll();
 
+    // Sampling fixtures: random full-support PMFs, one Rng per case
+    // so each case's draws do not depend on the others.
+    struct SampleFixture
+    {
+        Pmf pmf;
+        std::uint64_t shots;
+        Rng rng;
+    };
+    std::vector<SampleFixture> sample_fixtures;
+    for (const int bits : {2, 6, 12, 16}) {
+        std::vector<double> dense(std::size_t{1} << bits);
+        for (double &p : dense)
+            p = rng.uniform();
+        Pmf pmf = Pmf::fromDense(bits, dense);
+        pmf.normalize();
+        for (const std::uint64_t shots : {256u, 2048u})
+            sample_fixtures.push_back(
+                {pmf, shots, Rng(mix64(bits, shots))});
+    }
+
     std::vector<Case> cases;
     cases.push_back({"bayesianReconstruct_10q", reps, [&] {
                          Pmf out =
@@ -118,11 +143,23 @@ main(int argc, char **argv)
                                             noisy_params, 1024)
                              .supportSize();
                      }});
+    for (SampleFixture &f : sample_fixtures) {
+        const std::uint64_t work = f.pmf.supportSize() + f.shots;
+        cases.push_back(
+            {"sample_" + std::to_string(f.pmf.supportSize()) + "x" +
+                 std::to_string(f.shots),
+             static_cast<int>(static_cast<std::uint64_t>(reps) *
+                              std::max<std::uint64_t>(
+                                  1, (std::uint64_t{1} << 17) / work)),
+             [&f] {
+                 (void)f.pmf.sample(f.rng, f.shots).numOutcomes();
+             }});
+    }
 
     TablePrinter table("Mitigation/planning micro-benchmarks");
-    table.setHeader({"Case", "Reps", "Seconds", "Ops/sec"});
+    table.setHeader({"Case", "Reps", "Seconds", "Ops/sec", "ns/call"});
     CsvWriter csv(outPath("bench_micro_mitigation.csv"));
-    csv.writeRow({"case", "reps", "seconds", "ops_per_sec"});
+    csv.writeRow({"case", "reps", "seconds", "ops_per_sec", "ns_per_call"});
 
     BenchSummary summary;
     for (const Case &c : cases) {
@@ -132,14 +169,18 @@ main(int argc, char **argv)
         const double seconds = watch.seconds();
         const double rate = perSecond(
             static_cast<std::uint64_t>(c.reps), seconds);
+        const double ns_per_call =
+            1e9 * seconds / static_cast<double>(c.reps);
         table.addRow({c.name,
                       TablePrinter::num(
                           static_cast<long long>(c.reps)),
                       TablePrinter::num(seconds, 4),
-                      TablePrinter::num(rate, 1)});
+                      TablePrinter::num(rate, 1),
+                      TablePrinter::num(ns_per_call, 1)});
         csv.writeRow({c.name, std::to_string(c.reps),
                       std::to_string(seconds),
-                      std::to_string(rate)});
+                      std::to_string(rate),
+                      std::to_string(ns_per_call)});
         summary.wallSeconds += seconds;
         summary.executions +=
             static_cast<std::uint64_t>(c.reps);

@@ -19,6 +19,15 @@ Counts::add(std::uint64_t outcome, std::uint64_t n)
     totalShots_ += n;
 }
 
+void
+Counts::append(std::uint64_t outcome, std::uint64_t n)
+{
+    if (!histogram_.empty() && histogram_.back().first >= outcome)
+        panic("Counts::append: outcome out of order");
+    histogram_.emplace_back(outcome, n);
+    totalShots_ += n;
+}
+
 std::uint64_t
 Counts::count(std::uint64_t outcome) const
 {
@@ -45,7 +54,7 @@ Counts::toPmf() const
         return pmf;
     const double inv = 1.0 / static_cast<double>(totalShots_);
     for (const auto &[outcome, n] : histogram_)
-        pmf.set(outcome, static_cast<double>(n) * inv);
+        pmf.append(outcome, static_cast<double>(n) * inv);
     return pmf;
 }
 

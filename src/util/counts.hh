@@ -41,6 +41,16 @@ class Counts
     /** Record @p n observations of @p outcome. */
     void add(std::uint64_t outcome, std::uint64_t n = 1);
 
+    /**
+     * Record @p n observations of an outcome above every recorded
+     * one: add() without the search, for writers that already walk
+     * outcomes in order.
+     */
+    void append(std::uint64_t outcome, std::uint64_t n);
+
+    /** Reserve room for @p outcomes distinct outcomes. */
+    void reserve(std::size_t outcomes) { histogram_.reserve(outcomes); }
+
     /** Observed count for @p outcome (0 if never seen). */
     std::uint64_t count(std::uint64_t outcome) const;
 

@@ -38,6 +38,112 @@ forEachUnion(const Pmf::Entries &a, const Pmf::Entries &b, F f)
     }
 }
 
+/**
+ * Pmf::sample's branches over @p probs, whose @p drawable positive
+ * entries carry mass @p total.
+ */
+void
+sampleBinomial(const Pmf::Entries &probs, Rng &rng, std::uint64_t shots,
+               std::size_t drawable, double total, Counts &counts)
+{
+    // Conditional binomials: each positive entry takes
+    // B(shots left, p / mass left) of what the entries before it did
+    // not; the last takes the rest.
+    std::uint64_t left = shots;
+    double mass_left = total;
+    for (const auto &[outcome, p] : probs) {
+        if (!(p > 0.0))
+            continue;
+        const std::uint64_t k =
+            --drawable == 0 ? left : rng.binomial(left, p / mass_left);
+        if (k > 0)
+            counts.append(outcome, k);
+        left -= k;
+        if (left == 0)
+            return;
+        mass_left -= p;
+    }
+}
+
+void
+sampleAlias(const Pmf::Entries &probs, Rng &rng, std::uint64_t shots,
+            std::size_t drawable, double total, Counts &counts)
+{
+    // Drawable support: positions of the positive entries, or the
+    // identity when every entry is positive (a pruned fromDense).
+    const std::size_t n = drawable;
+    std::vector<std::size_t> support;
+    if (n < probs.size()) {
+        support.reserve(n);
+        for (std::size_t i = 0; i < probs.size(); ++i)
+            if (probs[i].second > 0.0)
+                support.push_back(i);
+    }
+    const auto entry = [&](std::size_t c) -> const auto & {
+        return probs[support.empty() ? c : support[c]];
+    };
+
+    // Vose's alias table: column c keeps itself with probability
+    // keep and yields alias otherwise. The small and large worklists
+    // are two stacks in one array, small growing up from the front
+    // and large down from the back (together they never hold more
+    // than n columns). They are filled and drained in outcome order,
+    // so the table depends on content only.
+    struct Column
+    {
+        double keep;
+        std::size_t alias;
+    };
+    std::vector<Column> table(n);
+    std::vector<std::uint64_t> work(n);
+    std::size_t small_top = 0; // small = work[0, small_top)
+    std::size_t large_top = n; // large = work[large_top, n), top first
+    const double scale = static_cast<double>(n) / total;
+    for (std::size_t c = 0; c < n; ++c) {
+        table[c] = {entry(c).second * scale, c};
+        if (table[c].keep < 1.0)
+            work[small_top++] = c;
+        else
+            work[--large_top] = c;
+    }
+    while (small_top > 0 && large_top < n) {
+        const std::size_t s = work[--small_top];
+        const std::size_t l = work[large_top];
+        table[s].alias = l;
+        table[l].keep = (table[l].keep + table[s].keep) - 1.0;
+        if (table[l].keep < 1.0) {
+            ++large_top;
+            work[small_top++] = l;
+        }
+    }
+    // What is left is 1 up to rounding.
+    for (std::size_t i = 0; i < small_top; ++i)
+        table[work[i]].keep = 1.0;
+    for (std::size_t i = large_top; i < n; ++i)
+        table[work[i]].keep = 1.0;
+
+    // One uniform per shot: its integer part picks the column, its
+    // fraction decides keep vs alias. That decision is a coin flip no
+    // branch predictor learns, so it is made with a mask instead.
+    // The worklist array is dead now and counts the hits: on 2^16
+    // columns a fresh 512 KB array cost more than the whole draw.
+    std::vector<std::uint64_t> &hits = work;
+    std::ranges::fill(hits, 0);
+    const double columns = static_cast<double>(n);
+    for (std::uint64_t s = 0; s < shots; ++s) {
+        const double u = rng.uniform() * columns;
+        const std::size_t c =
+            std::min(static_cast<std::size_t>(u), n - 1);
+        const Column col = table[c];
+        const std::size_t keep_mask = -static_cast<std::size_t>(
+            u - static_cast<double>(c) < col.keep);
+        ++hits[col.alias ^ ((c ^ col.alias) & keep_mask)];
+    }
+    for (std::size_t c = 0; c < n; ++c)
+        if (hits[c] > 0)
+            counts.append(entry(c).first, hits[c]);
+}
+
 } // namespace
 
 Pmf
@@ -46,7 +152,11 @@ Pmf::fromDense(int num_bits, const std::vector<double> &dense,
 {
     if (dense.size() != (1ull << num_bits))
         panic("Pmf::fromDense: vector length is not 2^num_bits");
+    // Counted first: growing a 2^16-entry support by doubling cost
+    // four times the copy itself.
     Pmf pmf(num_bits);
+    pmf.probs_.reserve(static_cast<std::size_t>(
+        std::ranges::count_if(dense, [&](double p) { return p > prune; })));
     for (std::uint64_t x = 0; x < dense.size(); ++x)
         if (dense[x] > prune)
             pmf.probs_.emplace_back(x, dense[x]);
@@ -72,6 +182,14 @@ void
 Pmf::accumulate(std::uint64_t outcome, double p)
 {
     slot(outcome) += p;
+}
+
+void
+Pmf::append(std::uint64_t outcome, double p)
+{
+    if (!probs_.empty() && probs_.back().first >= outcome)
+        panic("Pmf::append: outcome out of order");
+    probs_.emplace_back(outcome, p);
 }
 
 double &
@@ -167,70 +285,21 @@ Counts
 Pmf::sample(Rng &rng, std::uint64_t shots) const
 {
     Counts counts(numBits_);
-
-    // Drawable support: positions of the positive entries.
-    std::vector<std::size_t> support;
+    std::size_t drawable = 0;
     double total = 0.0;
-    for (std::size_t i = 0; i < probs_.size(); ++i) {
-        if (probs_[i].second > 0.0) {
-            support.push_back(i);
-            total += probs_[i].second;
+    for (const auto &[outcome, p] : probs_) {
+        if (p > 0.0) {
+            ++drawable;
+            total += p;
         }
     }
-    const std::size_t n = support.size();
-    if (n == 0 || shots == 0)
+    if (drawable == 0 || shots == 0)
         return counts;
-
-    // Vose's alias table: column c keeps itself with probability
-    // keep and yields alias otherwise. Worklists are filled and
-    // drained in outcome order, so the table depends on content only.
-    struct Column
-    {
-        double keep;
-        std::size_t alias;
-    };
-    std::vector<Column> table(n);
-    std::vector<std::size_t> small;
-    std::vector<std::size_t> large;
-    const double scale = static_cast<double>(n) / total;
-    for (std::size_t c = 0; c < n; ++c) {
-        table[c] = {probs_[support[c]].second * scale, c};
-        (table[c].keep < 1.0 ? small : large).push_back(c);
-    }
-    while (!small.empty() && !large.empty()) {
-        const std::size_t s = small.back();
-        small.pop_back();
-        const std::size_t l = large.back();
-        table[s].alias = l;
-        table[l].keep = (table[l].keep + table[s].keep) - 1.0;
-        if (table[l].keep < 1.0) {
-            large.pop_back();
-            small.push_back(l);
-        }
-    }
-    // What is left is 1 up to rounding.
-    for (const std::size_t c : small)
-        table[c].keep = 1.0;
-    for (const std::size_t c : large)
-        table[c].keep = 1.0;
-
-    // One uniform per shot: its integer part picks the column, its
-    // fraction decides keep vs alias. That decision is a coin flip no
-    // branch predictor learns, so it is made with a mask instead.
-    std::vector<std::uint64_t> hits(n, 0);
-    const double columns = static_cast<double>(n);
-    for (std::uint64_t s = 0; s < shots; ++s) {
-        const double u = rng.uniform() * columns;
-        const std::size_t c =
-            std::min(static_cast<std::size_t>(u), n - 1);
-        const Column col = table[c];
-        const std::size_t keep_mask = -static_cast<std::size_t>(
-            u - static_cast<double>(c) < col.keep);
-        ++hits[col.alias ^ ((c ^ col.alias) & keep_mask)];
-    }
-    for (std::size_t c = 0; c < n; ++c)
-        if (hits[c] > 0)
-            counts.add(probs_[support[c]].first, hits[c]);
+    counts.reserve(std::min<std::uint64_t>(drawable, shots));
+    if (shots >= kBinomialShotsPerEntry * drawable)
+        sampleBinomial(probs_, rng, shots, drawable, total, counts);
+    else
+        sampleAlias(probs_, rng, shots, drawable, total, counts);
     return counts;
 }
 

@@ -63,6 +63,13 @@ class Pmf
     /** Add @p p to the probability of @p outcome. */
     void accumulate(std::uint64_t outcome, double p);
 
+    /**
+     * Set the probability of an outcome above every stored one:
+     * set() without the search, for writers that already walk
+     * outcomes in order.
+     */
+    void append(std::uint64_t outcome, double p);
+
     /** Number of outcomes in the support. */
     std::size_t supportSize() const { return probs_.size(); }
 
@@ -97,11 +104,29 @@ class Pmf
     /**
      * Sample @p shots outcomes into a Counts histogram.
      *
-     * Draws from a Walker/Vose alias table built over the support in
-     * outcome order, one Rng::uniform() per shot; outcomes with zero
-     * probability are never drawn.
+     * Only positive entries are drawable; outcomes with zero
+     * probability are never drawn. The method depends only on
+     * (shots, drawable support size d), so draws stay a function of
+     * (Rng state, content):
+     *
+     * - shots >= kBinomialShotsPerEntry * d: conditional binomials
+     *   in outcome order, O(d). Entry i takes
+     *   Rng::binomial(shots left, p_i / mass left), the last
+     *   positive entry takes the rest, and the walk stops once no
+     *   shots are left.
+     * - otherwise: a Walker/Vose alias table built over the support
+     *   in outcome order, one Rng::uniform() per shot, O(d + shots).
+     *
+     * Both write the Counts in outcome order by appending.
      */
     Counts sample(Rng &rng, std::uint64_t shots) const;
+
+    /**
+     * Shots per drawable entry from which sample() switches from the
+     * alias table to conditional binomials (bench_micro_mitigation's
+     * sample_* cases measure the crossover).
+     */
+    static constexpr std::uint64_t kBinomialShotsPerEntry = 16;
 
     /** Most probable outcome; the smallest on a tie (0 if empty). */
     std::uint64_t argmax() const;

@@ -64,6 +64,27 @@ class Rng
     /** Bernoulli trial with success probability p. */
     bool bernoulli(double p);
 
+    /**
+     * Binomial variate: successes in @p n trials of probability
+     * @p p (clamped to [0, 1]; NaN counts as 0). When n is 0 or p
+     * is at either end the result is fixed and nothing is drawn.
+     *
+     * Draws B(n, min(p, 1-p)) and mirrors it as n - B(n, 1-p) when
+     * p > 0.5. With mode m = floor((n+1) min(p, 1-p)) at most
+     * kBinomialInversionMaxMode it inverts the cdf from 0 (about
+     * m + 1 steps, one uniform); above that it uses Hörmann's BTRD
+     * transformed rejection (1993), one to two uniforms per attempt.
+     * Only IEEE arithmetic, sqrt and, when BTRD tests a candidate
+     * more than 15 from the mode, log are used, so a draw is a
+     * function of (generator state, n, p) on any libm that rounds
+     * log the same way. std::binomial_distribution is not used: its
+     * algorithm differs between standard libraries.
+     */
+    std::uint64_t binomial(std::uint64_t n, double p);
+
+    /** Largest mode binomial() still draws by inversion. */
+    static constexpr std::uint64_t kBinomialInversionMaxMode = 10;
+
     /** Standard normal variate (Box-Muller, cached pair). */
     double normal();
 

@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <string>
+#include <vector>
+
 #include "mitigation/bayesian.hh"
 #include "util/rng.hh"
 
@@ -189,6 +193,106 @@ TEST_P(BayesianPositivity, NonNegativeNormalizedOutput)
 
 INSTANTIATE_TEST_SUITE_P(RandomInstances, BayesianPositivity,
                          ::testing::Range(0, 10));
+
+// ---- pinned outputs ------------------------------------------------------------
+
+/** Digest of a PMF: every (outcome, probability bits) pair, in order. */
+std::uint64_t
+digest(const Pmf &pmf)
+{
+    std::uint64_t h = mix64(pmf.supportSize(), pmf.numBits());
+    for (const auto &[x, p] : pmf.raw())
+        h = mix64(mix64(h, x), std::bit_cast<std::uint64_t>(p));
+    return h;
+}
+
+/** Each outcome kept with probability @p density, uniform weight. */
+Pmf
+randomGlobal(int bits, double density, std::uint64_t seed)
+{
+    Rng rng(seed);
+    Pmf pmf(bits);
+    for (std::uint64_t x = 0; x < (std::uint64_t{1} << bits); ++x)
+        if (rng.uniform() < density)
+            pmf.set(x, rng.uniform());
+    pmf.normalize();
+    return pmf;
+}
+
+/** Random locals on @p subsets, each missing its outcome 1. */
+std::vector<LocalPmf>
+randomLocals(const std::vector<std::vector<int>> &subsets,
+             std::uint64_t seed)
+{
+    Rng rng(seed);
+    std::vector<LocalPmf> locals;
+    for (const auto &positions : subsets) {
+        LocalPmf local;
+        local.positions = positions;
+        const int k = static_cast<int>(positions.size());
+        local.pmf = Pmf(k);
+        for (std::uint64_t s = 0; s < (std::uint64_t{1} << k); ++s)
+            if (s != 1)
+                local.pmf.set(s, rng.uniform());
+        local.pmf.normalize();
+        locals.push_back(std::move(local));
+    }
+    return locals;
+}
+
+struct PinnedReconstruction
+{
+    int passes;
+    std::uint64_t support;
+    std::uint64_t digest;
+    double first;      //!< probability of the first support entry
+    double z0;         //!< <Z_0>
+    double zAll;       //!< <Z...Z> over every bit
+};
+
+void
+expectPinned(const Pmf &global, const std::vector<LocalPmf> &locals,
+             const std::vector<PinnedReconstruction> &cases)
+{
+    const std::uint64_t all = (std::uint64_t{1} << global.numBits()) - 1;
+    for (const PinnedReconstruction &c : cases) {
+        SCOPED_TRACE("passes " + std::to_string(c.passes));
+        const Pmf out = bayesianReconstruct(global, locals, c.passes);
+        EXPECT_EQ(out.supportSize(), c.support);
+        EXPECT_EQ(out.raw().front().second, c.first);
+        EXPECT_EQ(out.expectationParity(1), c.z0);
+        EXPECT_EQ(out.expectationParity(all), c.zAll);
+        EXPECT_EQ(digest(out), c.digest);
+    }
+}
+
+// Captured from the marginal + prob + normalize formulation; the
+// dense-factor implementation must reproduce every bit.
+
+TEST(BayesianPinned, SixBitGlobal)
+{
+    const Pmf global = randomGlobal(6, 1.0, 61);
+    const auto locals =
+        randomLocals({{0, 1}, {2, 3, 4}, {4, 5}, {5, 1, 3}}, 62);
+    expectPinned(global, locals,
+                 {{1, 64, 0x5a340eb3761b2863ull, 0x1.433a9b2ed49d5p-2,
+                   0x1.59f6b9fb25048p-1, 0x1.108771ca76bf1p-2},
+                  {2, 64, 0xefdefa552de1e543ull, 0x1.433a9b2ed49d7p-2,
+                   0x1.5af922985d396p-1, 0x1.2e2b42e7c15bbp-2}});
+}
+
+TEST(BayesianPinned, TwelveBitSparseGlobal)
+{
+    const Pmf global = randomGlobal(12, 0.3, 121);
+    const auto locals = randomLocals(
+        {{0, 1}, {2, 3, 4}, {5, 6}, {9, 8, 7}, {10, 11}, {3, 7, 11}},
+        122);
+    expectPinned(global, locals,
+                 {{1, 1239, 0x3c6c8cf39510d597ull, 0x1.449fdb63e9b61p-4,
+                   0x1.15c021a0a91bap-8, 0x1.f002eade535eep-4},
+                  {2, 1239, 0xa1f6e5e710497edbull, 0x1.320d80ca2a46p-4,
+                   0x1.474889b9adf2p-7, 0x1.1ace61734dd21p-3}});
+}
 
 } // namespace
 } // namespace varsaw

@@ -58,6 +58,39 @@ TEST(Counts, ToPmfNormalizes)
     EXPECT_NEAR(pmf.totalMass(), 1.0, 1e-12);
 }
 
+TEST(Counts, AppendKeepsOrderAndTotals)
+{
+    Counts counts(3);
+    counts.append(1, 4);
+    counts.append(5, 2);
+    counts.append(6, 1);
+    EXPECT_EQ(counts.raw(), (Counts::Entries{{1, 4}, {5, 2}, {6, 1}}));
+    EXPECT_EQ(counts.totalShots(), 7u);
+    counts.add(3);
+    EXPECT_EQ(counts.count(3), 1u);
+    EXPECT_EQ(counts.totalShots(), 8u);
+}
+
+TEST(CountsDeathTest, AppendOutOfOrderPanics)
+{
+    Counts counts(3);
+    counts.append(5, 1);
+    EXPECT_DEATH(counts.append(5, 1), "out of order");
+    EXPECT_DEATH(counts.append(2, 1), "out of order");
+}
+
+TEST(Counts, ToPmfMatchesSetPerOutcome)
+{
+    Counts counts(4);
+    for (std::uint64_t x : {9u, 2u, 14u, 7u, 2u})
+        counts.add(x, x + 1);
+    Pmf expected(4);
+    const double inv = 1.0 / static_cast<double>(counts.totalShots());
+    for (const auto &[x, n] : counts.raw())
+        expected.set(x, static_cast<double>(n) * inv);
+    EXPECT_EQ(counts.toPmf().raw(), expected.raw());
+}
+
 TEST(Counts, ToPmfEmptyIsEmpty)
 {
     Counts counts(2);

@@ -303,8 +303,15 @@ TEST(PmfContent, EqualContentGivesIdenticalResults)
     const std::vector<Pmf> variants = {
         shuffled, split, wide_pairs.marginal(low),
         wide_single.marginal(low), counts.toPmf()};
-    Rng ref_rng(99);
-    const Counts ref_draw = sorted.sample(ref_rng, 4096);
+    // 4096 shots take the binomial branch, 48 c - 1 the alias one.
+    const std::vector<std::uint64_t> shots = {
+        4096, Pmf::kBinomialShotsPerEntry * 48 - 1};
+    ASSERT_GE(shots[0], Pmf::kBinomialShotsPerEntry * 48);
+    std::vector<Counts> ref_draws;
+    for (const std::uint64_t n : shots) {
+        Rng ref_rng(99);
+        ref_draws.push_back(sorted.sample(ref_rng, n));
+    }
     for (std::size_t v = 0; v < variants.size(); ++v) {
         SCOPED_TRACE("variant " + std::to_string(v));
         const Pmf &pmf = variants[v];
@@ -314,10 +321,12 @@ TEST(PmfContent, EqualContentGivesIdenticalResults)
         for (std::uint64_t mask = 0; mask < 64; ++mask)
             EXPECT_EQ(pmf.expectationParity(mask),
                       sorted.expectationParity(mask));
-        Rng rng(99);
-        const Counts draw = pmf.sample(rng, 4096);
-        EXPECT_EQ(draw.raw(), ref_draw.raw());
-        EXPECT_EQ(draw.totalShots(), 4096u);
+        for (std::size_t i = 0; i < shots.size(); ++i) {
+            Rng rng(99);
+            const Counts draw = pmf.sample(rng, shots[i]);
+            EXPECT_EQ(draw.raw(), ref_draws[i].raw());
+            EXPECT_EQ(draw.totalShots(), shots[i]);
+        }
     }
 }
 
@@ -331,7 +340,7 @@ TEST(PmfContent, ArgmaxTieReturnsSmallestOutcome)
     EXPECT_EQ(pmf.argmax(), 6u);
 }
 
-// ---- alias sampler ----------------------------------------------------------
+// ---- sampler -----------------------------------------------------------------
 
 /**
  * Pearson chi-square of @p counts against @p pmf, with outcomes
@@ -368,33 +377,68 @@ expectDrawsInSupport(const Pmf &pmf, const Counts &counts)
     }
 }
 
+/** Number of positive entries: what sample() can draw. */
+std::uint64_t
+drawable(const Pmf &pmf)
+{
+    return static_cast<std::uint64_t>(
+        std::ranges::count_if(pmf.raw(), [](const auto &e) {
+            return e.second > 0.0;
+        }));
+}
+
+/**
+ * Shot counts that exercise both sample() branches for @p pmf:
+ * @p shots itself plus the switch, c * support - 1 (alias) and
+ * c * support, c * support + 1 (binomial).
+ */
+std::vector<std::uint64_t>
+shotsAcrossSwitch(const Pmf &pmf, std::uint64_t shots)
+{
+    const std::uint64_t at = Pmf::kBinomialShotsPerEntry * drawable(pmf);
+    return {shots, at - 1, at, at + 1};
+}
+
+/**
+ * Draw @p pmf at every count of shotsAcrossSwitch(@p shots) from
+ * seed @p seed: totals are exact, only positive outcomes are drawn,
+ * and the pooled chi-square stays below @p threshold.
+ */
+void
+expectSamplesMatch(const Pmf &pmf, std::uint64_t shots,
+                   std::uint64_t seed, int bin_bits, double threshold)
+{
+    for (const std::uint64_t n : shotsAcrossSwitch(pmf, shots)) {
+        SCOPED_TRACE("shots " + std::to_string(n));
+        Rng rng(seed);
+        const Counts counts = pmf.sample(rng, n);
+        EXPECT_EQ(counts.numBits(), pmf.numBits());
+        EXPECT_EQ(counts.totalShots(), n);
+        EXPECT_TRUE(std::ranges::is_sorted(counts.raw()));
+        expectDrawsInSupport(pmf, counts);
+        EXPECT_LT(chiSquare(pmf, counts, bin_bits), threshold);
+    }
+}
+
 // Thresholds are chi-square 0.999 quantiles for the bins' degrees
 // of freedom; the seeds are fixed, so each case is deterministic.
 
-TEST(PmfAlias, FourOutcomesChiSquare)
+TEST(PmfSample, FourOutcomesChiSquare)
 {
     const Pmf pmf = Pmf::fromDense(2, {0.1, 0.2, 0.3, 0.4});
-    Rng rng(21);
-    const Counts counts = pmf.sample(rng, 2048);
-    EXPECT_EQ(counts.totalShots(), 2048u);
-    expectDrawsInSupport(pmf, counts);
-    EXPECT_LT(chiSquare(pmf, counts, 2), 16.27); // df 3
+    expectSamplesMatch(pmf, 2048, 21, 2, 16.27); // df 3
 }
 
-TEST(PmfAlias, SixtyFourOutcomesChiSquare)
+TEST(PmfSample, SixtyFourOutcomesChiSquare)
 {
     std::vector<double> dense(64);
     for (std::size_t x = 0; x < dense.size(); ++x)
         dense[x] = static_cast<double>(1 + x % 7) / 253.0;
     const Pmf pmf = Pmf::fromDense(6, dense);
-    Rng rng(22);
-    const Counts counts = pmf.sample(rng, 2048);
-    EXPECT_EQ(counts.totalShots(), 2048u);
-    expectDrawsInSupport(pmf, counts);
-    EXPECT_LT(chiSquare(pmf, counts, 6), 103.44); // df 63
+    expectSamplesMatch(pmf, 2048, 22, 6, 103.44); // df 63
 }
 
-TEST(PmfAlias, FewerShotsThanSupportChiSquare)
+TEST(PmfSample, FewerShotsThanSupportChiSquare)
 {
     // 2^16 outcomes at 256 shots, pooled into 16 bins whose weights
     // run 8..23, so every bin expects at least 8 draws.
@@ -402,15 +446,12 @@ TEST(PmfAlias, FewerShotsThanSupportChiSquare)
     for (std::size_t x = 0; x < dense.size(); ++x)
         dense[x] = static_cast<double>(8 + (x >> 12));
     const Pmf pmf = Pmf::fromDense(16, dense);
+    expectSamplesMatch(pmf, 256, 23, 4, 37.70); // df 15
     Rng rng(23);
-    const Counts counts = pmf.sample(rng, 256);
-    EXPECT_EQ(counts.totalShots(), 256u);
-    EXPECT_LE(counts.numOutcomes(), 256u);
-    expectDrawsInSupport(pmf, counts);
-    EXPECT_LT(chiSquare(pmf, counts, 4), 37.70); // df 15
+    EXPECT_LE(pmf.sample(rng, 256).numOutcomes(), 256u);
 }
 
-TEST(PmfAlias, SkewedSupportNeverDrawsZeros)
+TEST(PmfSample, SkewedSupportNeverDrawsZeros)
 {
     Pmf pmf(6);
     pmf.set(0, 0.5);
@@ -420,19 +461,42 @@ TEST(PmfAlias, SkewedSupportNeverDrawsZeros)
     pmf.set(40, 1e-13);
     pmf.set(3, 0.0);
     pmf.set(63, 0.0);
-    Rng rng(24);
-    const Counts counts = pmf.sample(rng, 2048);
-    EXPECT_EQ(counts.totalShots(), 2048u);
-    expectDrawsInSupport(pmf, counts);
-    EXPECT_EQ(counts.count(3), 0u);
-    EXPECT_EQ(counts.count(63), 0u);
-    // About 2e-10 expected draws each.
-    EXPECT_EQ(counts.count(12), 0u);
-    EXPECT_EQ(counts.count(40), 0u);
-    EXPECT_LT(chiSquare(pmf, counts, 6), 18.47); // df 4
+    expectSamplesMatch(pmf, 2048, 24, 6, 18.47); // df 4
+    for (const std::uint64_t n : shotsAcrossSwitch(pmf, 2048)) {
+        Rng rng(24);
+        const Counts counts = pmf.sample(rng, n);
+        EXPECT_EQ(counts.count(3), 0u);
+        EXPECT_EQ(counts.count(63), 0u);
+        // About 2e-10 expected draws each.
+        EXPECT_EQ(counts.count(12), 0u);
+        EXPECT_EQ(counts.count(40), 0u);
+    }
 }
 
-TEST(PmfAlias, EmptySupportOrNoShotsGivesEmptyCounts)
+TEST(PmfSample, LastPositiveEntryTakesTheRest)
+{
+    // The zero entries after the last positive one are skipped by
+    // the binomial walk; everything it has not placed lands on 6.
+    Pmf pmf(3);
+    pmf.set(1, 0.25);
+    pmf.set(6, 0.75);
+    pmf.set(7, 0.0);
+    for (const std::uint64_t n : shotsAcrossSwitch(pmf, 4096)) {
+        Rng rng(26);
+        const Counts counts = pmf.sample(rng, n);
+        EXPECT_EQ(counts.count(1) + counts.count(6), n);
+        EXPECT_EQ(counts.count(7), 0u);
+    }
+    Pmf single(3);
+    single.set(5, 0.3);
+    Rng rng(27);
+    for (const std::uint64_t n : {1ull, 63ull, 4096ull}) {
+        const Counts counts = single.sample(rng, n);
+        EXPECT_EQ(counts.raw(), (Counts::Entries{{5, n}}));
+    }
+}
+
+TEST(PmfSample, EmptySupportOrNoShotsGivesEmptyCounts)
 {
     Rng rng(25);
     const Counts empty = Pmf(3).sample(rng, 100);
@@ -448,6 +512,81 @@ TEST(PmfAlias, EmptySupportOrNoShotsGivesEmptyCounts)
     const Counts none = makeBell().sample(rng, 0);
     EXPECT_EQ(none.totalShots(), 0u);
     EXPECT_EQ(none.numOutcomes(), 0u);
+}
+
+/** Digest of a histogram: every (outcome, count) pair, in order. */
+std::uint64_t
+digest(const Counts &counts)
+{
+    std::uint64_t h = mix64(counts.numOutcomes(), counts.totalShots());
+    for (const auto &[x, n] : counts.raw())
+        h = mix64(mix64(h, x), n);
+    return h;
+}
+
+/**
+ * Random PMF over @p bits: each outcome is kept with probability
+ * @p density and given a uniform weight, then normalized.
+ */
+Pmf
+randomPmf(int bits, double density, std::uint64_t seed)
+{
+    Rng rng(seed);
+    Pmf pmf(bits);
+    for (std::uint64_t x = 0; x < (std::uint64_t{1} << bits); ++x)
+        if (rng.uniform() < density)
+            pmf.set(x, rng.uniform());
+    pmf.normalize();
+    return pmf;
+}
+
+struct PinnedDraw
+{
+    int bits;
+    double density;
+    std::uint64_t shots;
+    std::uint64_t seed;
+    std::uint64_t outcomes;
+    std::uint64_t digest;
+};
+
+void
+expectPinnedDraws(const std::vector<PinnedDraw> &cases, bool binomial)
+{
+    for (const PinnedDraw &c : cases) {
+        SCOPED_TRACE("bits " + std::to_string(c.bits) + " shots " +
+                     std::to_string(c.shots));
+        const Pmf pmf = randomPmf(c.bits, c.density, 100 + c.seed);
+        ASSERT_EQ(c.shots >= Pmf::kBinomialShotsPerEntry * drawable(pmf),
+                  binomial);
+        Rng rng(c.seed);
+        const Counts counts = pmf.sample(rng, c.shots);
+        EXPECT_EQ(counts.totalShots(), c.shots);
+        EXPECT_EQ(counts.numOutcomes(), c.outcomes);
+        EXPECT_EQ(digest(counts), c.digest);
+    }
+}
+
+TEST(PmfSample, AliasBranchDrawsArePinned)
+{
+    // Captured before the binomial branch existed: the alias branch
+    // (the Globals of wide registers) still draws exactly these.
+    expectPinnedDraws({{16, 1.0, 256, 41, 256, 0x45a2966af7fe03c0ull},
+                       {12, 1.0, 256, 42, 248, 0x9fbe6f711ec89049ull},
+                       {12, 1.0, 2048, 43, 1490, 0x84466a2e58fd253dull},
+                       {12, 0.5, 1024, 44, 737, 0xe16215cd335a9283ull}},
+                      false);
+}
+
+TEST(PmfSample, BinomialBranchDrawsArePinned)
+{
+    // Subsets and narrow Globals. BTRD's rare slow path calls libm
+    // log, so a libm that rounds log differently may move these.
+    expectPinnedDraws({{2, 1.0, 2048, 51, 4, 0x0627801de25b96a2ull},
+                       {3, 1.0, 256, 52, 8, 0xdcb213502b4ae5ddull},
+                       {6, 1.0, 2048, 53, 63, 0x1dd7ab5daf2c68fdull},
+                       {8, 0.5, 65536, 54, 119, 0x28426c7d62bc1be9ull}},
+                      true);
 }
 
 } // namespace

@@ -5,7 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "util/rng.hh"
 
@@ -149,6 +153,166 @@ TEST(Rng, SplitStreamsIndependent)
         if (parent.next() == child.next())
             ++same;
     EXPECT_LT(same, 3);
+}
+
+// ---- binomial ----------------------------------------------------------------
+
+/** Exact log P(B(n, p) = k). */
+double
+binomialLogPmf(std::uint64_t n, double p, std::uint64_t k)
+{
+    const double nd = static_cast<double>(n);
+    const double kd = static_cast<double>(k);
+    return std::lgamma(nd + 1.0) - std::lgamma(kd + 1.0) -
+           std::lgamma(nd - kd + 1.0) + kd * std::log(p) +
+           (nd - kd) * std::log1p(-p);
+}
+
+/** Chi-square 0.999 quantile for @p df degrees of freedom
+ *  (Wilson-Hilferty). */
+double
+chiSquare999(int df)
+{
+    const double d = static_cast<double>(df);
+    const double t = 2.0 / (9.0 * d);
+    return d * std::pow(1.0 - t + 3.090232 * std::sqrt(t), 3.0);
+}
+
+/**
+ * Draw B(n, p) @p draws times from a fixed seed and check the draws
+ * against the exact distribution: every draw in [0, n], the sample
+ * mean within 5 standard errors of np, the sample variance within 5
+ * standard errors of npq, and a Pearson chi-square against the
+ * exact pmf below its 0.999 quantile. Adjacent k are pooled until
+ * each bin expects at least 5 draws.
+ */
+void
+expectBinomial(std::uint64_t n, double p, std::uint64_t seed,
+               int draws = 50000)
+{
+    SCOPED_TRACE("n=" + std::to_string(n) + " p=" + std::to_string(p));
+    Rng rng(seed);
+    std::vector<double> observed(n + 1, 0.0);
+    double sum = 0.0;
+    double sumsq = 0.0;
+    for (int i = 0; i < draws; ++i) {
+        const std::uint64_t k = rng.binomial(n, p);
+        ASSERT_LE(k, n);
+        observed[k] += 1.0;
+        sum += static_cast<double>(k);
+        sumsq += static_cast<double>(k) * static_cast<double>(k);
+    }
+    const double nd = static_cast<double>(n);
+    const double count = static_cast<double>(draws);
+    const double var = nd * p * (1.0 - p);
+    const double mu4 = var * (1.0 + 3.0 * (nd - 2.0) * p * (1.0 - p));
+    const double mean = sum / count;
+    const double sample_var = sumsq / count - mean * mean;
+    EXPECT_NEAR(mean, nd * p, 5.0 * std::sqrt(var / count));
+    EXPECT_NEAR(sample_var, var,
+                5.0 * std::sqrt((mu4 - var * var) / count));
+
+    std::vector<std::pair<double, double>> bins; // expected, observed
+    double e = 0.0;
+    double o = 0.0;
+    for (std::uint64_t k = 0; k <= n; ++k) {
+        e += count * std::exp(binomialLogPmf(n, p, k));
+        o += observed[k];
+        if (e >= 5.0) {
+            bins.emplace_back(e, o);
+            e = o = 0.0;
+        }
+    }
+    ASSERT_GE(bins.size(), 2u);
+    bins.back().first += e;
+    bins.back().second += o;
+    double chi = 0.0;
+    for (const auto &[exp_k, obs_k] : bins)
+        chi += (obs_k - exp_k) * (obs_k - exp_k) / exp_k;
+    EXPECT_LT(chi, chiSquare999(static_cast<int>(bins.size()) - 1));
+}
+
+/** Mode floor((n+1) p) that picks binomial()'s method. */
+std::uint64_t
+binomialMode(std::uint64_t n, double p)
+{
+    return static_cast<std::uint64_t>((static_cast<double>(n) + 1.0) *
+                                      std::min(p, 1.0 - p));
+}
+
+TEST(Rng, BinomialInversionRegime)
+{
+    for (const auto &[n, p] : {std::pair{20ull, 0.3},
+                               std::pair{1000ull, 0.005},
+                               std::pair{2048ull, 1.0 / 512}}) {
+        ASSERT_LE(binomialMode(n, p), Rng::kBinomialInversionMaxMode);
+        expectBinomial(n, p, 41 + n);
+    }
+}
+
+TEST(Rng, BinomialBtrdRegime)
+{
+    for (const auto &[n, p] : {std::pair{100ull, 0.5},
+                               std::pair{2048ull, 0.25},
+                               std::pair{2048ull, 1.0 / 64}}) {
+        ASSERT_GT(binomialMode(n, p), Rng::kBinomialInversionMaxMode);
+        expectBinomial(n, p, 43 + n);
+    }
+}
+
+TEST(Rng, BinomialAtSwitch)
+{
+    // Each pair straddles the switch: mode 10 inverts, mode 11 is
+    // BTRD's smallest.
+    static_assert(Rng::kBinomialInversionMaxMode == 10);
+    for (const auto &[n, p] : {std::pair{20ull, 0.5},
+                               std::pair{21ull, 0.5},
+                               std::pair{42ull, 0.25},
+                               std::pair{43ull, 0.25}}) {
+        const std::uint64_t mode = binomialMode(n, p);
+        ASSERT_TRUE(mode == 10 || mode == 11) << mode;
+        expectBinomial(n, p, 47 + n);
+    }
+}
+
+TEST(Rng, BinomialMirrorsAboveOneHalf)
+{
+    for (const auto &[n, p] : {std::pair{50ull, 0.9},
+                               std::pair{2048ull, 0.75},
+                               std::pair{65536ull, 0.9999}})
+        expectBinomial(n, p, 53 + n);
+}
+
+TEST(Rng, BinomialLargeN)
+{
+    for (const auto &[n, p] : {std::pair{65536ull, 1e-4},
+                               std::pair{65536ull, 0.37},
+                               std::pair{65536ull, 0.5}})
+        expectBinomial(n, p, 59 + static_cast<std::uint64_t>(p * 1e4),
+                       20000);
+}
+
+TEST(Rng, BinomialSingleTrialIsBernoulli)
+{
+    expectBinomial(1, 0.3, 61);
+    expectBinomial(1, 0.8, 62);
+}
+
+TEST(Rng, BinomialDegenerateCasesDrawNothing)
+{
+    Rng rng(67);
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_EQ(rng.binomial(0, 0.3), 0u);
+    EXPECT_EQ(rng.binomial(0, 1.0), 0u);
+    EXPECT_EQ(rng.binomial(100, 0.0), 0u);
+    EXPECT_EQ(rng.binomial(100, -0.5), 0u);
+    EXPECT_EQ(rng.binomial(100, nan), 0u);
+    EXPECT_EQ(rng.binomial(100, 1.0), 100u);
+    EXPECT_EQ(rng.binomial(100, 1.5), 100u);
+    EXPECT_EQ(rng.binomial(65536, 1.0), 65536u);
+    // None of them consumed the generator.
+    Rng fresh(67);
+    EXPECT_EQ(rng.next(), fresh.next());
 }
 
 } // namespace
